@@ -131,10 +131,10 @@ def plan_chunks(
     """The single-shot descriptor plan for one loop.
 
     ``static``/``dynamic`` keep the historical fixed stride; ``guided``
-    shrinks geometrically.  ``adaptive`` normally plans wave-by-wave
-    (:class:`AdaptiveController`) — callers that need a whole plan up
-    front (the serial path, the cost simulator) get the guided shape,
-    which is the controller's zero-feedback prior.
+    shrinks geometrically.  ``adaptive`` plans wave-by-wave
+    (:class:`AdaptiveController`) on every backend — callers that need a
+    whole plan up front (the cost simulator, the live dashboard) get the
+    guided shape, which is the controller's zero-feedback prior.
     """
     schedule = normalize_schedule(schedule)
     if schedule in ("static", "dynamic"):
@@ -362,18 +362,18 @@ def run_adaptive(
     """Drive the wave loop: replay, plan, dispatch, observe, repeat.
 
     ``dispatch(bounds, indices, workers)`` executes one wave of
-    descriptors (process pool or thread pool — the caller's closure);
-    ``indices[j]`` is the *global* chunk index of ``bounds[j]`` —
-    ledger, journal and dedup identity.  ``replay`` holds descriptors a
-    resumed journal planned but never finished — they are re-dispatched
-    verbatim under their original (possibly sparse) indices before any
-    new wave is planned, so chunk identity survives the resume
-    round-trip.  New waves are appended to ``journal`` as ``plan``
-    records *before* dispatch (plan-ahead logging: a kill mid-wave
-    leaves the plan on disk, so the next resume re-executes exactly the
-    planned descriptors).  Every dispatched descriptor — replayed or
-    fresh — counts into ``chunks_planned``, the generalized
-    conservation denominator for this run:
+    descriptors (on any executor — the caller's closure);
+    ``indices[j]`` is the *run-wide* chunk index of ``bounds[j]`` —
+    its chaos stream, profiler window and journal identity.  ``replay``
+    holds descriptors a resumed journal planned but never finished —
+    they are re-dispatched verbatim under their original (possibly
+    sparse) indices before any new wave is planned, so chunk identity
+    survives the resume round-trip.  New waves are appended to
+    ``journal`` as ``plan`` records *before* dispatch (plan-ahead
+    logging: a kill mid-wave leaves the plan on disk, so the next resume
+    re-executes exactly the planned descriptors).  Every dispatched
+    descriptor — replayed or fresh — counts into ``chunks_planned``,
+    the generalized conservation denominator for this run:
     ``chunks_completed - chunks_deduped = chunks_planned``.  Returns
     the total number of descriptors dispatched.
     """
@@ -406,23 +406,3 @@ def run_adaptive(
         base += len(bounds)
     return dispatched
 
-
-class WaveJournal:
-    """Duck-typed journal view mapping wave-local to global indices.
-
-    The pool collector journals chunks by its wave-local index ``k``;
-    chunk identity is global, so the journal must see ``indices[k]``.
-    Everything else defers to the wrapped journal.
-    """
-
-    def __init__(self, journal: Any, indices: list[int]) -> None:
-        self._journal = journal
-        self._indices = list(indices)
-
-    def record(
-        self, index: int, lo: int, hi: int, values: list[Any]
-    ) -> None:
-        self._journal.record(self._indices[index], lo, hi, values)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._journal, name)

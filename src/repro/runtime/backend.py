@@ -64,6 +64,7 @@ from __future__ import annotations
 import atexit
 import builtins
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import marshal
@@ -80,7 +81,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mpconn
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.runtime.chaos import ChaosInjector
 from repro.runtime.faults import CancellationToken, FaultPolicy
@@ -492,37 +493,43 @@ def ship_callable(fn: Callable) -> Callable:
 
 @dataclass
 class ChunkResult:
-    """One chunk's outcome, shipped back from a worker process."""
+    """One chunk's outcome, from any executor (in-process or a worker)."""
 
+    #: the chunk's run-wide index: its journal, chaos-stream and
+    #: profiler identity.  Executors collect by position in the executed
+    #: plan, which differs from it only in the waves of an adaptive run
     index: int
     #: per-element results (map mode) or a single folded partial (reduce)
     values: list[Any]
     #: (seq, error, attempts, action) — the ErrorRecord ingredients
     records: list[tuple[int, BaseException, int, str]]
     counters: dict[str, int]
-    #: worker-side chaos-injection counter deltas for this chunk
+    #: the chunk's chaos-injection counts (its own stream's stats)
     chaos: dict[str, int] | None
     failed: bool
-    #: worker-side span dicts drained after the chunk (trace parity) —
-    #: defaulted so pre-trace positional construction stays valid
-    spans: list | None = None
-    spans_dropped: int = 0
+    #: worker-side span dicts drained after the chunk (trace parity)
+    spans: list | None
+    spans_dropped: int
     #: values live in the shared output region, not in ``values`` — the
     #: collector materializes them exactly once at absorb time
-    shm: bool = False
+    shm: bool
     #: worker-side metric delta drained after the chunk — rides the same
     #: road as ``spans`` and is deduped whole with the chunk, so metric
     #: accounting stays exactly-once under recovery
-    metrics: list | None = None
+    metrics: list | None
     #: worker-side profiler delta (folded stacks + work records) drained
     #: after the chunk — same road, same whole-chunk dedup, so sample
     #: accounting stays exactly-once under recovery
-    profile: tuple | None = None
+    profile: tuple | None
 
 
 @dataclass
 class ProcessRun:
-    """What the collector saw: delivered chunks plus failure evidence."""
+    """What an executor saw: delivered chunks plus failure evidence.
+
+    The process collector fills every field; the in-process executors
+    report delivered chunks and latencies only.
+    """
 
     chunks: dict[int, ChunkResult]
     fatal: list[str]
@@ -552,16 +559,13 @@ class ProcessPayload:
     spec) — a warm :class:`PoolSession` ships it to each worker once per
     distinct ``digest`` and refers to it by digest afterwards.
     ``call_blob`` is the per-call delta: the input spec (inline values
-    or a shared-memory block reference), the output-region spec, and the
-    chunk bounds.
+    or a shared-memory block reference), the output-region spec, the
+    chunk bounds and their run-wide indices (``None``: their positions).
     """
 
     kernel_blob: bytes
     call_blob: bytes
     digest: str
-
-    def __bool__(self) -> bool:  # truthy like the old non-None blob
-        return True
 
 
 def build_process_payload(
@@ -605,7 +609,7 @@ def build_process_payload(
         if input_spec is None:
             input_spec = ("inline", list(vals))
         call_blob = pickle.dumps(
-            (input_spec, out_spec, list(chunks)),
+            (input_spec, out_spec, list(chunks), None),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         digest = hashlib.sha1(kernel_blob).hexdigest()
@@ -631,6 +635,7 @@ def _run_map_chunk(
     trace: TraceCollector | None = None,
     stage: str = "loop",
     metrics: MetricsRegistry | None = None,
+    cancel: CancellationToken | None = None,
 ) -> tuple[list[Any], list, dict[str, int], bool, bool]:
     """(values, records, counters, failed, aborted) for one map chunk."""
     lo, hi = bounds
@@ -656,21 +661,18 @@ def _run_map_chunk(
                         "execute", stage, i, started,
                         attempt=1, error=repr(exc),
                     )
-                records.append((i, _shippable_error(exc), 1, "failed"))
+                records.append((i, exc, 1, "failed"))
                 counters["failed"] += 1
                 return values, records, counters, True, False
         else:
             outcome = policy.execute(
-                fn, vals[i], trace=trace, stage=stage, seq=i,
+                fn, vals[i], cancel=cancel, trace=trace, stage=stage, seq=i,
                 metrics=metrics,
             )
             counters["retried"] += outcome.retried
             if outcome.error is not None:
                 records.append((
-                    i,
-                    _shippable_error(outcome.error),
-                    outcome.attempts,
-                    outcome.action,
+                    i, outcome.error, outcome.attempts, outcome.action,
                 ))
             if outcome.action == "failed":
                 counters["failed"] += 1
@@ -724,7 +726,111 @@ def _run_reduce_chunk(
                 "execute", stage, lo, started,
                 chunk=k, elements=hi - lo, error=repr(exc),
             )
-        return [], [(lo, _shippable_error(exc), 1, "failed")], counters, True
+        return [], [(lo, exc, 1, "failed")], counters, True
+
+
+class Kernel(NamedTuple):
+    """What every chunk of one call runs: the call-constant half."""
+
+    body: Callable[[Any], Any]
+    policy: FaultPolicy | None
+    #: :meth:`ChaosInjector.spec` — each chunk draws its own stream
+    chaos: dict[str, Any] | None
+    #: the fold operator of a reduction; ``None`` maps
+    reduce_op: Callable[[Any, Any], Any] | None
+    label: str
+
+
+def run_chunk(
+    kernel: Kernel,
+    k: int,
+    bounds: tuple[int, int],
+    vals: Sequence[Any],
+    should_stop: Callable[[], bool],
+    *,
+    cancel: CancellationToken | None = None,
+    trace: TraceCollector | None = None,
+    metrics: MetricsRegistry | None = None,
+    profiler: SamplingProfiler | None = None,
+) -> ChunkResult | None:
+    """Execute chunk ``k``: the one chunk protocol of every executor.
+
+    ``k`` is the chunk's run-wide index.  Serial and thread executors
+    call this in-process with the caller's collectors; a pool worker
+    calls it with its own and drains them into the result.  The chunk
+    draws chaos from its own seeded stream ``"{label}#c{k}"`` and is one
+    profiler window ``(label, k)``, so one seed injects the same faults,
+    and one run records the same windows, whichever executor or worker
+    runs it.  ``None`` means ``should_stop`` fired mid-chunk: the chunk
+    is abandoned and never delivered.
+    """
+    fn = kernel.body
+    injector = None
+    if kernel.chaos is not None:
+        injector = ChaosInjector.from_spec(kernel.chaos)
+        injector.trace, injector.metrics = trace, metrics
+        fn = injector.wrap(fn, name=f"{kernel.label}#c{k}")
+    work = (
+        profiler.work(kernel.label, k)
+        if profiler is not None
+        else contextlib.nullcontext()
+    )
+    with work:
+        if kernel.reduce_op is not None:
+            values, records, counters, failed = _run_reduce_chunk(
+                k, bounds, fn, vals, kernel.reduce_op,
+                trace=trace, stage=kernel.label,
+            )
+        else:
+            values, records, counters, failed, aborted = _run_map_chunk(
+                k, bounds, fn, vals, kernel.policy, should_stop,
+                trace=trace, stage=kernel.label, metrics=metrics,
+                cancel=cancel,
+            )
+            if aborted:
+                return None
+    return ChunkResult(
+        k, values, records, counters,
+        injector.stats() if injector is not None else None, failed,
+        spans=None, spans_dropped=0, shm=False, metrics=None, profile=None,
+    )
+
+
+def deliver_chunk(
+    chunk: ChunkResult,
+    bounds: tuple[int, int],
+    latency: float | None,
+    *,
+    label: str,
+    journal: Any = None,
+    trace: TraceCollector | None = None,
+    metrics: MetricsRegistry | None = None,
+    profiler: SamplingProfiler | None = None,
+) -> None:
+    """Account one delivered chunk: the delivery step of every executor.
+
+    The process collector calls it for the first result of a chunk only
+    (after its dedup), the in-process executor for every chunk it runs,
+    so each chunk is accounted exactly once: ``chunks_completed``, its
+    element counters and worker-side metric delta, its latency, its
+    profile, and, for a successful chunk, the journal record and its
+    ``checkpoint`` instant.
+    """
+    if metrics is not None:
+        metrics.inc("chunks_completed", stage=label)
+        count_chunk_counters(metrics, label, chunk.counters)
+        metrics.absorb(chunk.metrics)
+        if latency is not None:
+            metrics.histogram(
+                "chunk_latency_seconds", stage=label
+            ).observe(latency)
+    if profiler is not None:
+        profiler.absorb(chunk.profile)
+    if journal is not None and not chunk.failed:
+        lo, hi = bounds
+        journal.record(chunk.index, lo, hi, chunk.values)
+        if trace is not None:
+            trace.instant("checkpoint", label, lo, chunk=chunk.index)
 
 
 #: generation tag layout in the shared claim counter: the high 32 bits
@@ -736,23 +842,19 @@ _GEN_MASK = 0xFFFFFFFF
 
 
 def _load_kernel(kernel_blob: bytes) -> tuple:
-    """Unpickle a kernel: (body, policy, chaos_spec, reduce_op, label,
-    trace_spec, metrics_spec, profiler_spec).  Session workers cache the
-    result per digest — the body (possibly a :class:`ShippedFunction`)
-    is rebuilt once per kernel, not once per call."""
-    loaded = pickle.loads(kernel_blob)
-    # pre-profiler kernels are 7-tuples; a warm session's cached digest
-    # may replay one across the version seam, so default the tail
+    """Unpickle a kernel blob into ``(Kernel, trace_spec, metrics_spec,
+    profiler_spec)``.  Session workers cache the result per digest — the
+    body (possibly a :class:`ShippedFunction`) is rebuilt once per
+    kernel, not once per call."""
     (
         body_blob, policy, chaos_spec, reduce_blob, label,
-        trace_spec, metrics_spec,
-    ) = loaded[:7]
-    profiler_spec = loaded[7] if len(loaded) > 7 else None
+        trace_spec, metrics_spec, profiler_spec,
+    ) = pickle.loads(kernel_blob)
     body = pickle.loads(body_blob)
     reduce_op = pickle.loads(reduce_blob) if reduce_blob is not None else None
     return (
-        body, policy, chaos_spec, reduce_op, label, trace_spec,
-        metrics_spec, profiler_spec,
+        Kernel(body, policy, chaos_spec, reduce_op, label),
+        trace_spec, metrics_spec, profiler_spec,
     )
 
 
@@ -789,9 +891,10 @@ def _serve_call(
     result_q,
     stop_event,
     cancel_event,
-    kernel: tuple,
+    loaded: tuple,
     vals,
     chunks: list[tuple[int, int]],
+    ids: Sequence[int] | None,
     out,
     skip: Sequence[int],
     assigned: Sequence[tuple[int, int]] | None,
@@ -802,7 +905,9 @@ def _serve_call(
     ``uid`` is the worker's identity in every message; ``slot`` is its
     static-stripe position for this call (equal to ``uid`` in a cold
     pool).  Every message carries ``gen`` so the parent can discard
-    stragglers from earlier calls of a reused pool.
+    stragglers from earlier calls of a reused pool.  Chunks are claimed
+    and reported by position in ``chunks`` and run under their run-wide
+    index ``ids[k]`` (``k`` itself when ``ids`` is ``None``).
 
     Original pool members claim chunks per ``schedule``; replacement and
     hedge workers receive an explicit ``assigned`` list of
@@ -811,12 +916,13 @@ def _serve_call(
     is announced on ``result_q`` before the chunk runs, which is the
     ownership ledger the parent's recovery logic reads.
     """
-    (
-        body, policy, chaos_spec, reduce_op, label, trace_spec,
-        metrics_spec, profiler_spec,
-    ) = kernel
+    kernel, trace_spec, metrics_spec, profiler_spec = loaded
+    label = kernel.label
+    # decides seeded worker kills only; chunks draw their own streams
     injector = (
-        ChaosInjector.from_spec(chaos_spec) if chaos_spec is not None else None
+        ChaosInjector.from_spec(kernel.chaos)
+        if kernel.chaos is not None
+        else None
     )
     trace = None
     if trace_spec is not None:
@@ -824,16 +930,12 @@ def _serve_call(
         # thread backend travels the same road as the error ledger
         trace = TraceCollector.from_spec(trace_spec)
         trace.worker_label = f"{label}-w{uid}@pid{os.getpid()}"
-        if injector is not None:
-            injector.trace = trace
     wmetrics = None
     if metrics_spec is not None:
         # same chunked-merge road as spans: collect locally, drain per
         # chunk, let the parent's first-result-wins dedup keep totals
         # exactly-once under respawn/hedge duplicates
         wmetrics = MetricsRegistry.from_spec(metrics_spec)
-        if injector is not None:
-            injector.metrics = wmetrics
     wprofiler = None
     if profiler_spec is not None:
         # worker-side sampling, drained per chunk: the samples take the
@@ -881,11 +983,12 @@ def _serve_call(
         if claimed is None:
             break
         k, attempt = claimed
+        ident = k if ids is None else ids[k]
         # ownership ledger: announce the claim before running, so a
         # death mid-chunk tells the parent exactly what to re-dispatch
         result_q.put(pickle.dumps(("claim", uid, k, attempt, gen)))
         if injector is not None and injector.should_kill(
-            f"{label}#c{k}", attempt
+            f"{label}#c{ident}", attempt
         ):
             # Seeded chaos worker-kill.  Announce the kill first (the
             # registry dies with the process, so the one metric a kill
@@ -899,82 +1002,49 @@ def _serve_call(
             result_q.close()
             result_q.join_thread()
             os.kill(os.getpid(), signal.SIGKILL)
-        # one chaos stream per chunk: deterministic for a given chunk
-        # assignment regardless of which worker claims it
-        fn = (
-            injector.wrap(body, name=f"{label}#c{k}")
-            if injector is not None
-            else body
+        chunk = run_chunk(
+            kernel, ident, chunks[k], vals, should_stop,
+            trace=trace, metrics=wmetrics, profiler=wprofiler,
         )
-        before = injector.stats() if injector is not None else None
-        work = (
-            wprofiler.work(label, k)
-            if wprofiler is not None
-            else contextlib.nullcontext()
-        )
-        with work:
-            if reduce_op is not None:
-                values, records, counters, failed = _run_reduce_chunk(
-                    k, chunks[k], fn, vals, reduce_op,
-                    trace=trace, stage=label,
-                )
-                aborted = False
-            else:
-                values, records, counters, failed, aborted = _run_map_chunk(
-                    k, chunks[k], fn, vals, policy, should_stop,
-                    trace=trace, stage=label, metrics=wmetrics,
-                )
-        if aborted:
+        if chunk is None:
             break
-        delta = None
-        if injector is not None:
-            after = injector.stats()
-            delta = {key: after[key] - before[key] for key in after}
-        metrics_delta = None
+        chunk.records = [
+            (seq, _shippable_error(error), attempts, action)
+            for seq, error, attempts, action in chunk.records
+        ]
         if wmetrics is not None:
-            count_chunk_counters(wmetrics, label, counters)
-            metrics_delta = wmetrics.drain()
-        profile_delta = (
-            wprofiler.drain() if wprofiler is not None else None
-        )
-        spans, spans_dropped = (
-            trace.drain() if trace is not None else (None, 0)
-        )
-        in_shm = False
+            chunk.metrics = wmetrics.drain()
+        if wprofiler is not None:
+            chunk.profile = wprofiler.drain()
+        if trace is not None:
+            chunk.spans, chunk.spans_dropped = trace.drain()
+        lo, hi = chunks[k]
         if (
             out is not None
-            and reduce_op is None
-            and not failed
-            and len(values) == chunks[k][1] - chunks[k][0]
+            and kernel.reduce_op is None
+            and not chunk.failed
+            and len(chunk.values) == hi - lo
+            and out.write(k, lo, chunk.values)
         ):
             # per-chunk degradation: only a complete, uniformly numeric
             # chunk takes the zero-copy road; anything else ships inline
-            in_shm = out.write(k, chunks[k][0], values)
-        chunk = ChunkResult(
-            k, [] if in_shm else values, records, counters, delta, failed,
-            spans, spans_dropped, in_shm, metrics_delta, profile_delta,
-        )
+            chunk.values, chunk.shm = [], True
         try:
-            msg = pickle.dumps(("chunk", chunk, gen))
+            msg = pickle.dumps(("chunk", k, chunk, gen))
         except Exception as exc:
-            chunk = ChunkResult(
-                k,
-                [],
-                [(
-                    chunks[k][0],
+            chunk = dataclasses.replace(
+                chunk,
+                values=[],
+                records=[(
+                    lo,
                     RuntimeError(f"chunk result not picklable: {exc!r}"),
                     1,
                     "failed",
                 )],
-                counters,
-                delta,
-                True,
-                spans,
-                spans_dropped,
-                metrics=metrics_delta,
-                profile=profile_delta,
+                failed=True,
+                shm=False,
             )
-            msg = pickle.dumps(("chunk", chunk, gen))
+            msg = pickle.dumps(("chunk", k, chunk, gen))
         result_q.put(msg)
         if chunk.failed:
             if gen == 0:
@@ -1002,7 +1072,7 @@ def _worker_main(
     closers = []
     try:
         kernel = _load_kernel(kernel_blob)
-        input_spec, out_spec, chunks = pickle.loads(call_blob)
+        input_spec, out_spec, chunks, ids = pickle.loads(call_blob)
         vals, close_in = _resolve_input(input_spec)
         if close_in is not None:
             closers.append(close_in)
@@ -1016,7 +1086,7 @@ def _worker_main(
     try:
         _serve_call(
             wid, wid, 0, nworkers, schedule, counter, result_q,
-            stop_event, cancel_event, kernel, vals, chunks, out,
+            stop_event, cancel_event, kernel, vals, chunks, ids, out,
             skip, assigned,
         )
     finally:
@@ -1058,7 +1128,7 @@ def _session_worker_main(
             if kernel_blob is not None and digest not in kernels:
                 kernels[digest] = _load_kernel(kernel_blob)
             kernel = kernels[digest]
-            input_spec, out_spec, chunks = pickle.loads(call_blob)
+            input_spec, out_spec, chunks, ids = pickle.loads(call_blob)
             vals, close_in = _resolve_input(input_spec)
             if close_in is not None:
                 closers.append(close_in)
@@ -1072,7 +1142,7 @@ def _session_worker_main(
         try:
             _serve_call(
                 uid, slot, gen, nworkers, schedule, counter, result_q,
-                stop_event, None, kernel, vals, chunks, out,
+                stop_event, None, kernel, vals, chunks, ids, out,
                 skip, assigned,
             )
         finally:
@@ -1322,6 +1392,42 @@ def shutdown_sessions() -> None:
 atexit.register(shutdown_sessions)
 
 
+@contextlib.contextmanager
+def warm_session(
+    workers: int,
+    metrics: MetricsRegistry | None = None,
+    label: str = "loop",
+):
+    """Hold the warm :class:`PoolSession` for ``workers`` through one call.
+
+    The one place a session is acquired, restored and released, and the
+    one place a call counts ``pool_warm_hits`` (warm workers serve it)
+    or ``pool_warm_misses`` (the session is busy; a cold pool pays the
+    spawn).  Yields ``None`` on a miss.  A holder may
+    :meth:`PoolSession.resize` the session between pool calls; the
+    registry keys sessions by width, so the width is restored before the
+    lock is released.
+    """
+    session = get_session(workers)
+    if not session.lock.acquire(blocking=False):
+        session = None
+    if metrics is not None:
+        metrics.inc(
+            "pool_warm_hits" if session is not None else "pool_warm_misses",
+            stage=label,
+        )
+    if session is None:
+        yield None
+        return
+    width = session.nworkers
+    try:
+        yield session
+    finally:
+        if session.nworkers != width:
+            session.resize(width)
+        session.lock.release()
+
+
 def _pool_wait(result_q, procs: Sequence[Any], timeout: float) -> None:
     """Sleep until a result message or a worker death, bounded by timeout.
 
@@ -1346,8 +1452,8 @@ def _pool_wait(result_q, procs: Sequence[Any], timeout: float) -> None:
 
 
 def run_process_chunks(
-    payload: "ProcessPayload | bytes",
-    chunks: Sequence[tuple[int, int]] | int,
+    payload: ProcessPayload,
+    chunks: Sequence[tuple[int, int]],
     *,
     workers: int,
     schedule: str = "dynamic",
@@ -1361,7 +1467,6 @@ def run_process_chunks(
     profiler: SamplingProfiler | None = None,
     label: str = "loop",
     checkpoint: Any = None,
-    reuse: bool = False,
     out_values: Any = None,
     session: "PoolSession | None" = None,
 ) -> ProcessRun:
@@ -1373,9 +1478,8 @@ def run_process_chunks(
 
     Resilience contract:
 
-    * ``chunks`` are the chunk bounds (an ``int`` is accepted as a count
-      of unit chunks); every dispatch is tracked in an ownership ledger
-      fed by worker ``claim`` messages.
+    * ``chunks`` are the chunk bounds; every dispatch is tracked in an
+      ownership ledger fed by worker ``claim`` messages.
     * A dead worker's in-flight chunks are re-dispatched to a fresh
       replacement process while ``max_restarts`` budget remains
       (at-least-once: duplicate completions are discarded, first result
@@ -1387,31 +1491,20 @@ def run_process_chunks(
       than the ``hedge`` quantile of that sample gets a speculative
       duplicate dispatch.
     * ``completed`` chunk indices (a resumed run's journal) are never
-      executed; ``checkpoint`` (a duck-typed ``record(k, lo, hi,
-      values)``) is fed every successful chunk *as it is delivered*, so
-      a kill mid-run loses at most the in-flight chunks.
+      executed; every first result goes through :func:`deliver_chunk`,
+      which feeds ``checkpoint`` (a duck-typed ``record(k, lo, hi,
+      values)``) each successful chunk *as it is delivered*, so a kill
+      mid-run loses at most the in-flight chunks.
     * Recovery decisions are returned as :attr:`ProcessRun.recovery` and
       mirrored as ``respawn``/``redispatch``/``hedge``/``checkpoint``
       spans on ``trace``.
-    * ``reuse`` serves the call from the warm :class:`PoolSession` for
-      this worker width (falling back to a cold pool when the session is
-      busy); ``out_values`` is the parent-side shared output region a
-      chunk flagged ``shm`` is materialized from at absorb time.
-    * ``session`` passes a *caller-owned* :class:`PoolSession` instead:
-      the caller already holds ``session.lock`` across a sequence of
-      calls (the adaptive scheduler's wave loop re-tunes the pool width
-      between calls with :meth:`PoolSession.resize`) and releases it
-      afterwards — this function then neither acquires nor releases the
-      lock, but still runs the per-call generation protocol
+    * ``out_values`` is the parent-side shared output region a chunk
+      flagged ``shm`` is materialized from at absorb time.
+    * ``session`` serves the call from a warm :class:`PoolSession` the
+      caller holds through :func:`warm_session` (``None``: a cold pool);
+      the call runs the per-call generation protocol
       (``begin_call``/``end_call``).
     """
-    if isinstance(payload, bytes):
-        kernel_blob, call_blob = pickle.loads(payload)
-        payload = ProcessPayload(
-            kernel_blob, call_blob, hashlib.sha1(kernel_blob).hexdigest()
-        )
-    if isinstance(chunks, int):
-        chunks = [(k, k + 1) for k in range(chunks)]
     bounds = list(chunks)
     n_chunks = len(bounds)
     skip = frozenset(k for k in completed if 0 <= k < n_chunks)
@@ -1419,22 +1512,6 @@ def run_process_chunks(
     if live_chunks <= 0:
         return ProcessRun(chunks={}, fatal=[], leaked=[])
     nworkers = max(1, min(workers, live_chunks))
-    caller_owned = session is not None
-    if caller_owned:
-        if metrics is not None:
-            metrics.inc("pool_warm_hits", stage=label)
-    elif reuse:
-        candidate = get_session(nworkers)
-        if candidate.lock.acquire(blocking=False):
-            session = candidate  # released in the finally below
-        if metrics is not None:
-            # a hit means warm workers serve the call; a miss means the
-            # session was busy and a cold pool pays the spawn cost
-            metrics.inc(
-                "pool_warm_hits" if session is not None
-                else "pool_warm_misses",
-                stage=label,
-            )
     if session is not None:
         ctx = session.ctx
         counter = session.counter
@@ -1537,13 +1614,7 @@ def run_process_chunks(
             return
         tag = message[0]
         if tag == "chunk":
-            chunk = message[1]
-            k = chunk.index
-            if metrics is not None:
-                # counts every arrival, duplicates included; the paired
-                # chunks_deduped increment below keeps the conservation
-                # invariant completed - deduped = n_chunks exact
-                metrics.inc("chunks_completed", stage=label)
+            _tag, k, chunk, _gen = message
             if chunk.shm and k not in delivered and k not in skip:
                 # materialize from the shared region exactly once, while
                 # the region is still alive; the message itself carried
@@ -1566,36 +1637,27 @@ def run_process_chunks(
                 # at-least-once dedup: a hedge loser or a redispatch
                 # duplicate — the first result won; dropping the loser
                 # whole (values, counters, chaos deltas, spans, metric
-                # deltas) keeps parent-side accounting exactly-once
+                # deltas, samples) keeps parent-side accounting
+                # exactly-once: completed - deduped = n_chunks
                 if metrics is not None:
+                    metrics.inc("chunks_completed", stage=label)
                     metrics.inc("chunks_deduped", stage=label)
                 return
             delivered[k] = chunk
-            if metrics is not None and chunk.metrics is not None:
-                metrics.absorb(chunk.metrics)
-            if profiler is not None and chunk.profile is not None:
-                # behind the dedup above, so a chunk's samples and work
-                # records land exactly once no matter how many workers
-                # raced to produce them
-                profiler.absorb(chunk.profile)
             if chunk.failed:
                 failed_seen = True
                 # warm workers leave the stop event to the parent (a
                 # late straggler setting it could race the next call)
                 stop_event.set()
             t0 = claim_time.get(k)
-            if t0 is not None:
-                latencies.append(time.monotonic() - t0)
-                chunk_latency[k] = latencies[-1]
-                if metrics is not None:
-                    metrics.histogram(
-                        "chunk_latency_seconds", stage=label
-                    ).observe(latencies[-1])
-            if checkpoint is not None and not chunk.failed:
-                lo, hi = bounds[k]
-                checkpoint.record(k, lo, hi, chunk.values)
-                if trace is not None:
-                    trace.instant("checkpoint", label, lo, chunk=k)
+            latency = None if t0 is None else time.monotonic() - t0
+            if latency is not None:
+                latencies.append(latency)
+                chunk_latency[k] = latency
+            deliver_chunk(
+                chunk, bounds[k], latency, label=label, journal=checkpoint,
+                trace=trace, metrics=metrics, profiler=profiler,
+            )
         elif tag == "claim":
             _tag, uid, k, att, _gen = message
             inflight.setdefault(k, set()).add(uid)
@@ -1719,23 +1781,18 @@ def run_process_chunks(
                     attempt=att,
                 )
 
-    try:
-        if session is not None:
-            roster = session.begin_call(payload, schedule=schedule, skip=skip)
-            gen = session.gen
-            for uid, slot, p in roster:
-                procs[uid] = p
-                if schedule == "static":
-                    for k in range(slot, n_chunks, nworkers):
-                        if k not in skip:
-                            inflight.setdefault(k, set()).add(uid)
-        else:
-            for _ in range(nworkers):
-                spawn()
-    except BaseException:
-        if session is not None and not caller_owned:
-            session.lock.release()
-        raise
+    if session is not None:
+        roster = session.begin_call(payload, schedule=schedule, skip=skip)
+        gen = session.gen
+        for uid, slot, p in roster:
+            procs[uid] = p
+            if schedule == "static":
+                for k in range(slot, n_chunks, nworkers):
+                    if k not in skip:
+                        inflight.setdefault(k, set()).add(uid)
+    else:
+        for _ in range(nworkers):
+            spawn()
 
     # Hedging and parent-side cancel bridging are the only reasons to
     # wake without a pool event; otherwise the wait can stretch — every
@@ -1876,7 +1933,7 @@ def run_process_chunks(
                             "delivered": 0, "retried": 0, "skipped": 0,
                             "fallbacks": 0, "failed": hi - lo,
                         },
-                        None, True,
+                        None, True, None, 0, False, None, None,
                     )
     finally:
         stop_event.set()  # live workers stop claiming; hedge losers unwind
@@ -1892,11 +1949,7 @@ def run_process_chunks(
             # warm pool: members stay alive for the next call; a busy
             # straggler finishes its stale-generation chunk and idles
             leaked = []
-            try:
-                session.end_call()
-            finally:
-                if not caller_owned:
-                    session.lock.release()
+            session.end_call()
         else:
             for p in procs.values():
                 p.join(timeout=1.0)
@@ -1928,7 +1981,8 @@ def run_process_chunks(
 
 
 def invoke_task(task: Callable[[], Any]) -> Any:
-    """Module-level thunk runner: the master/worker process-map body."""
+    """Module-level thunk runner: the master/worker body on every
+    backend (picklable by reference for the process pool)."""
     return task()
 
 

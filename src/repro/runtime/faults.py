@@ -144,9 +144,6 @@ class FaultPolicy:
     item_timeout: float | None = None
     on_error: str = "fail_fast"
     fallback: Any = None
-    #: how many dead process-pool workers may be respawned per run
-    #: (``PoolRestarts``); 0 keeps the historical fail-on-loss behaviour
-    pool_restarts: int = 0
 
     def __post_init__(self) -> None:
         if self.on_error not in ON_ERROR_MODES:
@@ -156,8 +153,6 @@ class FaultPolicy:
             )
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.pool_restarts < 0:
-            raise ValueError("pool_restarts must be >= 0")
 
     def delays(self) -> list[float]:
         """The deterministic backoff schedule for one element."""
@@ -198,8 +193,11 @@ class FaultPolicy:
         retry attempt, a missed deadline, a backoff sleep — bumps a
         counter, so aggregate fault pressure is visible without reading
         spans.
+
+        The backoff schedule is built at the first retry, so an element
+        that succeeds on its first attempt never pays for it.
         """
-        schedule = self.delays()
+        schedule: list[float] | None = None
         attempts = 0
         last: BaseException | None = None
         while True:
@@ -249,6 +247,8 @@ class FaultPolicy:
                         error=repr(exc),
                     )
             if attempts <= self.retries:
+                if schedule is None:
+                    schedule = self.delays()
                 delay = schedule[attempts - 1]
                 slept = time.monotonic()
                 if cancel is not None:

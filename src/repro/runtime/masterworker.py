@@ -11,38 +11,55 @@ Workers are supervised: once any sibling records an error — or a shared
 :class:`~repro.runtime.faults.CancellationToken` fires — the pool stops
 claiming new tasks instead of running the full remaining input.
 
-The pool substrate is selectable (``Backend@workers`` in a tuning file):
-``serial`` runs tasks in the master thread, ``thread`` uses the
-supervised thread pool, and ``process`` ships each task thunk to a
+The pool substrate is selectable (``Backend@workers`` in a tuning file)
+and is the chunk engine's (:mod:`repro.runtime.parallel_for`), one task
+per chunk: ``serial`` runs tasks in the master thread, ``thread`` on
+claiming threads, and ``process`` ships each task thunk to a
 ``multiprocessing`` pool — closures are shipped by value (see
 :mod:`repro.runtime.backend`), and a thunk that cannot cross the process
 boundary downgrades the whole run to threads with a recorded
 :class:`~repro.runtime.backend.BackendEvent` in :attr:`last_events`.
+The downgraded run executes the caller's own thunks, never the copies.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
-import time
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.runtime.backend import (
     BackendEvent,
     RecoveryEvent,
-    ShipError,
-    build_process_payload,
-    downgrade,
     invoke_task,
     normalize_backend,
-    run_process_chunks,
     ship_callable,
 )
-from repro.runtime.faults import CancellationToken, CancelledError
+from repro.runtime.faults import CancellationToken
 from repro.runtime.item import Item
 from repro.runtime.metrics import MetricsRegistry, resolve_registry
+from repro.runtime.parallel_for import _engine
 from repro.runtime.profiler import SamplingProfiler, resolve_profiler
 from repro.runtime.trace import TraceCollector, resolve_collector
+
+
+class _ShippedTask:
+    """A task thunk that runs as itself and pickles by value.
+
+    Only the process payload pickles it, shipping the thunk through
+    :func:`~repro.runtime.backend.ship_callable`; a run that falls back
+    to threads calls the caller's own thunk, so state its closure shares
+    with the caller stays shared.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[], Any]) -> None:
+        self.fn = fn
+
+    def __call__(self) -> Any:
+        return self.fn()
+
+    def __reduce__(self) -> tuple:
+        return (_ShippedTask, (ship_callable(self.fn),))
 
 
 class MasterWorker:
@@ -99,198 +116,37 @@ class MasterWorker:
     ) -> list[Any]:
         """Execute independent thunks; results in task order.
 
-        A sibling failure (or a fired token) stops the pool from claiming
-        further tasks; the first error is re-raised after the join.
+        The chunk engine of :mod:`repro.runtime.parallel_for` runs one
+        task per chunk under the group's name, on every backend: a
+        failed task (or a fired token) stops the pool from claiming
+        further tasks, and the first failed task's error is re-raised.
         Each task becomes one ``execute`` span when tracing is on
         (``trace``, or the active session); with metrics on (``metrics``,
-        or the active session) each finished task bumps
-        ``tasks_completed`` / ``tasks_failed`` — identically on every
-        backend.  With profiling on (``profiler``, or the active
+        or the active session) the engine's ``chunks_*`` / ``elements_*``
+        counters land under ``stage=self.name``.  With profiling on
+        (``profiler``, or the active
         :func:`~repro.runtime.profiler.profile_session`) each task is one
-        work window stamped ``(self.name, task index)``.
+        work window stamped ``(self.name, task index)``.  The process
+        backend ships each task inside the work payload (closures by
+        value); a task that cannot cross the boundary downgrades the run
+        to threads, which run the caller's thunks themselves.
         """
         cancel = cancel or self.cancel
         trace = resolve_collector(trace)
-        metrics = resolve_registry(metrics)
-        profiler = resolve_profiler(profiler)
         tasks = list(tasks)
         self.last_events = []
         self.last_recovery = []
-        backend = self.backend
-        if not tasks:
-            return []
-
-        if backend == "serial" or self.workers <= 1:
-            results: list[Any] = []
-            for i, task in enumerate(tasks):
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-                started = time.monotonic()
-                work = (
-                    profiler.work(self.name, i)
-                    if profiler is not None
-                    else contextlib.nullcontext()
-                )
-                try:
-                    with work:
-                        results.append(task())
-                except BaseException as exc:
-                    if metrics is not None:
-                        metrics.inc("tasks_failed", stage=self.name)
-                    if trace is not None:
-                        trace.add(
-                            "execute", self.name, i, started,
-                            attempt=1, error=repr(exc),
-                        )
-                    raise
-                if metrics is not None:
-                    metrics.inc("tasks_completed", stage=self.name)
-                if trace is not None:
-                    trace.add("execute", self.name, i, started, attempt=1)
-            return results
-
+        backend = "serial" if self.workers <= 1 else self.backend
         if backend == "process":
-            done = self._run_process(tasks, cancel, trace, metrics, profiler)
-            if done is not None:
-                return done
-            # _run_process recorded the downgrade; fall through to threads
-
-        results = [None] * len(tasks)
-        errors: list[BaseException] = []
-        lock = threading.Lock()
-        next_task = [0]
-
-        def worker() -> None:
-            while True:
-                if errors or (cancel is not None and cancel.cancelled):
-                    return
-                with lock:
-                    i = next_task[0]
-                    if i >= len(tasks):
-                        return
-                    next_task[0] += 1
-                started = time.monotonic()
-                try:
-                    if profiler is not None:
-                        with profiler.work(self.name, i):
-                            results[i] = tasks[i]()
-                    else:
-                        results[i] = tasks[i]()
-                    if metrics is not None:
-                        metrics.inc("tasks_completed", stage=self.name)
-                    if trace is not None:
-                        trace.add(
-                            "execute", self.name, i, started, attempt=1
-                        )
-                except BaseException as exc:  # propagate to the master
-                    if metrics is not None:
-                        metrics.inc("tasks_failed", stage=self.name)
-                    if trace is not None:
-                        trace.add(
-                            "execute", self.name, i, started,
-                            attempt=1, error=repr(exc),
-                        )
-                    with lock:
-                        errors.append(exc)
-                    return
-
-        threads = [
-            threading.Thread(
-                target=worker, name=f"{self.name}-w{k}", daemon=True
-            )
-            for k in range(min(self.workers, len(tasks)) or 1)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        if cancel is not None and cancel.cancelled:
-            if trace is not None:
-                trace.instant(
-                    "cancel", self.name, -1,
-                    reason=cancel.reason or "cancelled",
-                )
-            raise CancelledError(cancel.reason or "cancelled")
-        return results
-
-    def _run_process(
-        self,
-        tasks: list[Callable[[], Any]],
-        cancel: CancellationToken | None,
-        trace: TraceCollector | None = None,
-        metrics: MetricsRegistry | None = None,
-        profiler: SamplingProfiler | None = None,
-    ) -> list[Any] | None:
-        """Run the thunks on a process pool; None means "use threads".
-
-        Each task is one chunk — master/worker tasks are coarse-grained
-        by construction, so per-task IPC is the right granularity.
-        """
-        chunks = [(i, i + 1) for i in range(len(tasks))]
-        try:
-            shipped = [ship_callable(t) for t in tasks]
-        except ShipError as exc:
-            downgrade(
-                "process", "thread", str(exc), self.last_events,
-                trace=trace, stage=self.name,
-            )
-            return None
-        blob, reason = build_process_payload(
-            invoke_task, shipped, chunks, label=self.name, trace=trace,
-            metrics=metrics, profiler=profiler,
+            tasks = [_ShippedTask(t) for t in tasks]
+        return _engine(
+            tasks, invoke_task, label=self.name, backend=backend,
+            workers=self.workers, chunk_size=1, cancel=cancel,
+            events=self.last_events, trace=trace,
+            metrics=resolve_registry(metrics),
+            profiler=resolve_profiler(profiler), restarts=self.restarts,
+            recovery=self.last_recovery,
         )
-        if blob is None:
-            downgrade(
-                "process", "thread", reason, self.last_events,
-                trace=trace, stage=self.name,
-            )
-            return None
-        run = run_process_chunks(
-            blob,
-            chunks,
-            workers=self.workers,
-            schedule="dynamic",
-            cancel=cancel,
-            max_restarts=self.restarts,
-            trace=trace,
-            label=self.name,
-            metrics=metrics,
-            profiler=profiler,
-        )
-        self.last_recovery = list(run.recovery)
-        results: list[Any] = [None] * len(tasks)
-        first_error: BaseException | None = None
-        for k in sorted(run.chunks):
-            chunk = run.chunks[k]
-            if trace is not None and chunk.spans is not None:
-                trace.absorb(chunk.spans, chunk.spans_dropped)
-            if chunk.failed:
-                if first_error is None:
-                    first_error = chunk.records[0][1]
-                if metrics is not None:
-                    metrics.inc("tasks_failed", stage=self.name)
-                continue
-            results[k] = chunk.values[0]
-            if metrics is not None:
-                metrics.inc("tasks_completed", stage=self.name)
-        if first_error is not None:
-            raise first_error
-        if cancel is not None and cancel.cancelled:
-            if trace is not None:
-                trace.instant(
-                    "cancel", self.name, -1,
-                    reason=cancel.reason or "cancelled",
-                )
-            raise CancelledError(cancel.reason or "cancelled")
-        missing = run.missing(len(chunks))
-        if run.fatal or missing:
-            raise RuntimeError(
-                f"{self.name}: worker pool lost task(s): "
-                f"fatal={run.fatal} missing={missing} leaked={run.leaked}"
-            )
-        return results
 
     def map(self, fn: Callable[[Any], Any], values: Iterable[Any]) -> list[Any]:
         """Parallel map preserving input order."""

@@ -537,11 +537,11 @@ def count_outcome(
     action: str,
     retried: int = 0,
 ) -> None:
-    """Account one element outcome (the serial/thread road).
+    """Account one element outcome (the pipeline stage road).
 
-    Mirrors the worker-side per-chunk ``counters`` dict of
-    :func:`repro.runtime.backend._run_map_chunk` exactly, so the same
-    workload yields identical counter totals on every backend.
+    Mirrors the per-chunk ``counters`` dict of
+    :func:`repro.runtime.backend._run_map_chunk` exactly, so a stage and
+    a loop name their element outcomes alike.
     """
     if retried:
         registry.inc("element_retries", retried, stage=stage)
@@ -559,7 +559,7 @@ def count_outcome(
 def count_chunk_counters(
     registry: "MetricsRegistry", stage: str, counters: dict[str, int]
 ) -> None:
-    """Account a chunk's ``counters`` dict (the process-worker road)."""
+    """Account a chunk's ``counters`` dict (every executor's delivery)."""
     for key, value in counters.items():
         name = _COUNTER_TO_METRIC.get(key)
         if name and value:

@@ -531,8 +531,9 @@ def decompose(
       existed but did not run (GIL contention, scheduler preemption);
     * ``queue_wait`` — span-measured time elements sat in buffers;
     * ``ipc`` — parent-observed chunk latency minus worker-side window
-      wall: dispatch, serialization and queue transit (0 when no chunk
-      latencies were recorded, e.g. the serial path);
+      wall: dispatch, serialization and queue transit (about 0 on the
+      serial and thread backends, whose chunk latency is the window's
+      own wall, and 0 when no chunk latencies were recorded);
     * ``recovery`` — duplicated work under respawn/hedge/redispatch,
       estimated as deduped-chunk arrivals times the mean chunk latency
       (a dedup loser's own profile was dropped whole with the chunk, so

@@ -368,6 +368,26 @@ class TestProcessFallback:
         assert mw.last_events[0].requested == "process"
         assert mw.last_events[0].actual == "thread"
 
+    def test_masterworker_fallback_runs_the_callers_tasks(self):
+        # the by-value copies shipped to a pool would bump copies of
+        # ``count``; the thread fallback must run the tasks themselves
+        lock = threading.Lock()
+        count = 0
+
+        def bump():
+            nonlocal count
+            with lock:
+                count += 1
+
+        mw = MasterWorker(workers=2, backend="process")
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            mw.run([bump, bump, bump])
+        assert count == 3
+        assert [(e.requested, e.actual) for e in mw.last_events] == [
+            ("process", "thread")
+        ]
+
     def test_no_event_when_picklable(self):
         events = []
         parallel_for(

@@ -104,6 +104,24 @@ class TestFaultPolicy:
             FaultPolicy(retries=10, backoff=5.0).execute(fn, 1, cancel=token)
         assert calls[0] == 1  # the 5s backoff sleep was interrupted
 
+    def test_retries_sleep_the_delays_schedule(self, monkeypatch):
+        policy = FaultPolicy(retries=3, backoff=0.01, seed=5)
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        out = policy.execute(flaky(3), 1)
+        assert (out.action, out.attempts) == ("delivered", 4)
+        assert slept == policy.delays()
+
+    def test_first_attempt_success_builds_no_schedule(self, monkeypatch):
+        import repro.runtime.faults as faults
+
+        def no_rng(*args):
+            raise AssertionError("backoff schedule built without a retry")
+
+        monkeypatch.setattr(faults.random, "Random", no_rng)
+        out = FaultPolicy(retries=2, backoff=0.01).execute(lambda v: v, 3)
+        assert (out.action, out.value, out.attempts) == ("delivered", 3, 1)
+
 
 # ---------------------------------------------------------------------------
 # CancellationToken

@@ -252,8 +252,8 @@ class TestBackendParity:
                 metrics=reg,
             )
             assert out == [i * i for i in range(6)]
-            assert reg.value("tasks_completed", stage="grp") == 6
-            assert reg.total("tasks_failed") == 0
+            assert reg.value("elements_delivered", stage="grp") == 6
+            assert reg.total("elements_failed") == 0
 
 
 # -------------------------------------------------------------------------
