@@ -74,20 +74,22 @@ def _typed(values: Sequence[Any]) -> tuple[str | None, Any, str | None]:
 
     The single gate both sides of the transport share: exact-type
     uniform ints (64-bit) or floats qualify, everything else states why
-    it does not.
+    it does not.  The type scan is one C-level ``set(map(type, ...))``
+    pass: a set of exact types, so ``bool`` and float subclasses still
+    count as a second type.
     """
     if not values:
         return None, None, "empty input"
     first = type(values[0])
     if first is int:
-        if not all(type(v) is int for v in values):
+        if set(map(type, values)) != {int}:
             return None, None, "mixed or non-numeric element types"
         try:
             return "q", array("q", values), None
         except OverflowError:
             return None, None, "int outside signed 64-bit range"
     if first is float:
-        if not all(type(v) is float for v in values):
+        if set(map(type, values)) != {float}:
             return None, None, "mixed or non-numeric element types"
         return "d", array("d", values), None
     return None, None, f"element type {first.__name__} is not flat numeric"

@@ -2,10 +2,12 @@
 fallback, shipping, cancellation, chaos conservation, and the tuning-file
 round trip onto real processes."""
 
+import functools
 import os
 import pickle
 import threading
 import time
+import timeit
 import warnings
 
 import pytest
@@ -18,9 +20,12 @@ from repro.runtime.backend import (
     BackendEvent,
     BackendFallbackWarning,
     ProcessCancellationToken,
+    SharedFlag,
     ShipError,
     TuningError,
+    mp_context,
     ship_callable,
+    shutdown_sessions,
 )
 from repro.runtime.chaos import ChaosError, ChaosInjector
 from repro.runtime.faults import (
@@ -231,6 +236,20 @@ def _slow_identity(x):
     return x
 
 
+def _poison_once_sibling_runs(marker, x):
+    """Element 0 fails once chunk ``[100, 200)`` has started; the rest
+    are 30 ms sleeps, so the sibling is mid-chunk when the run fails."""
+    if x == 0:
+        deadline = time.monotonic() + 1.0
+        while not os.path.exists(marker) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        raise ValueError("poison")
+    if x == 100:
+        open(marker, "w").close()
+    time.sleep(0.03)
+    return x
+
+
 class TestCancellation:
     @backends
     def test_pre_fired_token(self, backend):
@@ -287,6 +306,54 @@ class TestCancellation:
         finally:
             timer.cancel()
         assert time.monotonic() - started < 3.0
+
+    def _raises_mid_chunk(self, error, body, **kwargs):
+        # 2 workers, one 100-element chunk of 30 ms sleeps each: a chunk
+        # takes 3 s, so a stop honoured only at chunk boundaries could
+        # not raise in 2 s
+        started = time.monotonic()
+        try:
+            with pytest.raises(error):
+                parallel_for(
+                    range(200), body, workers=2, chunk_size=100,
+                    backend="process", **kwargs,
+                )
+        finally:
+            shutdown_sessions()
+        assert time.monotonic() - started < 2.0
+
+    def _cancel_after_100ms(self, token, **kwargs):
+        timer = threading.Timer(0.1, token.cancel)
+        timer.start()
+        try:
+            self._raises_mid_chunk(
+                CancelledError, _slow_identity, cancel=token, **kwargs
+            )
+        finally:
+            timer.cancel()
+
+    def test_process_token_stops_cold_pool_mid_chunk(self):
+        self._cancel_after_100ms(ProcessCancellationToken())
+
+    def test_plain_token_stops_warm_pool_mid_chunk(self):
+        self._cancel_after_100ms(CancellationToken(), reuse=True)
+
+    @pytest.mark.parametrize("reuse", [False, True], ids=["cold", "warm"])
+    def test_failed_chunk_stops_sibling_mid_chunk(self, reuse, tmp_path):
+        body = functools.partial(
+            _poison_once_sibling_runs, str(tmp_path / "sibling-started")
+        )
+        self._raises_mid_chunk(ValueError, body, reuse=reuse)
+
+    def test_pool_flag_is_set_costs_under_30pct_of_event(self):
+        # the flag is read before every element in every pool worker;
+        # timed against the Event it replaced, in the same process
+        flag, event = SharedFlag(), mp_context().Event()
+
+        def best(fn):
+            return min(timeit.repeat(fn, number=100_000, repeat=5))
+
+        assert best(flag.is_set) < 0.3 * best(event.is_set)
 
     def test_process_token_api(self):
         token = ProcessCancellationToken()

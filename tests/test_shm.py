@@ -34,6 +34,10 @@ def square(x):
     return x * x
 
 
+class FloatSubclass(float):
+    """A float that is not exactly ``float``: shm must refuse it."""
+
+
 def third(x):
     return x / 3
 
@@ -85,6 +89,8 @@ class TestQualification:
             (["a", "b"], "not flat numeric"),
             ([1, None], "mixed"),
             ([2**63, 1], "64-bit"),
+            ([1.0, FloatSubclass(2.0)], "mixed"),
+            ([1, True], "mixed"),
         ],
     )
     def test_rejections_state_why(self, values, why):
