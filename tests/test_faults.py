@@ -224,6 +224,45 @@ class TestBoundedBuffer:
         buf.put_front(0)
         assert buf.transfers == 4
 
+    def test_cancel_wakes_blocked_get_batch(self):
+        buf = BoundedBuffer(capacity=2)
+        token = CancellationToken()
+        caught = []
+
+        def consumer():
+            try:
+                buf.get_batch(cancel=token)
+            except CancelledError as exc:
+                caught.append(exc)
+
+        t = threading.Thread(target=consumer, daemon=True)
+        t.start()
+        time.sleep(0.05)  # let it block on the empty buffer
+        token.cancel("shutdown")
+        t.join(timeout=2.0)
+        assert not t.is_alive(), "cancel did not wake the blocked get_batch"
+        assert caught and "shutdown" in str(caught[0])
+
+    def test_cancel_wakes_blocked_put_batch(self):
+        buf = BoundedBuffer(capacity=2)
+        token = CancellationToken()
+        caught = []
+
+        def producer():
+            try:
+                buf.put_batch([1, 2, 3], cancel=token)
+            except CancelledError as exc:
+                caught.append(exc)
+
+        t = threading.Thread(target=producer, daemon=True)
+        t.start()
+        time.sleep(0.05)  # two fit; it blocks on the third
+        token.cancel("shutdown")
+        t.join(timeout=2.0)
+        assert not t.is_alive(), "cancel did not wake the blocked put_batch"
+        assert caught and "shutdown" in str(caught[0])
+        assert buf.get_batch() == [1, 2]
+
     def test_contention_conserves_items(self):
         buf = BoundedBuffer(capacity=3)
         n_producers, per_producer = 4, 50
@@ -299,6 +338,18 @@ class TestStallWatchdog:
         )
         # slower than the poll interval but always progressing
         assert pipe.run(range(5)) == [(x + 1) * 2 for x in range(5)]
+        assert pipe.stats["stall"] is None
+
+    def test_slow_batch_is_not_a_stall(self):
+        # a stage working through a batch of slow elements crosses no
+        # buffer until it forwards the batch; each element it finishes
+        # still counts as progress
+        def slow(x):
+            time.sleep(0.1)
+            return x
+
+        pipe = Pipeline(Item(slow, name="A"), stall_timeout=0.4)
+        assert pipe.run(range(8)) == list(range(8))
         assert pipe.stats["stall"] is None
 
     def test_stall_timeout_zero_disables_watchdog(self):
