@@ -32,6 +32,7 @@ from repro.runtime import (
     FaultPolicy,
     Item,
     Pipeline,
+    PipelineError,
     parallel_for,
     parallel_reduce,
 )
@@ -402,6 +403,22 @@ class TestMetricsParameter:
         assert "metrics" in pipe.stats
         report = metrics_report(pipe.stats)
         assert "elements_delivered" in report
+
+    def test_pipeline_queue_depth_counts_a_held_batch(self):
+        # elements a stage has taken in a batch but not started are still
+        # queued for it, so the gauge counts them with its input buffer
+        def fail_first(x):
+            time.sleep(0.05)  # the source fills the input buffer meanwhile
+            raise ValueError(x)
+
+        pipe = Pipeline(Item(fail_first, name="A"), buffer_capacity=4)
+        pipe.configure({"Metrics@pipeline": True})
+        with pytest.raises(PipelineError):
+            pipe.run(range(32))
+        # A started only the element that failed
+        assert pipe.metrics.value("stage_queue_depth", stage="A") == (
+            pipe.stats["generated"] - 1
+        )
 
     def test_pipeline_tolerates_sibling_metrics_keys(self):
         pipe = Pipeline(Item(square, name="A"))
