@@ -670,9 +670,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         from repro.runtime.adaptive import plan_chunks
 
-        # for adaptive the controller owns the real plan; the guided
-        # plan is its zero-feedback prior, so this is an estimate the
-        # dashboard's chunks_planned-aware rendering refines live
+        # the exact plan the run executes (adaptive plans as guided)
         nchunks = len(
             plan_chunks(len(values), chunk_size, args.schedule, args.workers)
         )
@@ -1146,9 +1144,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="elements per dispatched chunk (0 = kernel default)")
     p.add_argument("--schedule", default="dynamic",
                    choices=["static", "dynamic", "guided", "adaptive"],
-                   help="chunk discipline: fixed stripes (static/dynamic), "
-                        "geometric shrink (guided), or in-run re-tuning "
-                        "from latency feedback (adaptive)")
+                   help="chunk discipline: fixed stripes (static/dynamic) "
+                        "or geometric shrink (guided); adaptive is an "
+                        "alias of guided")
     p.add_argument("--backend", default="process",
                    choices=["serial", "thread", "process"])
     p.add_argument("--restarts", type=int, default=2,

@@ -175,9 +175,9 @@ def sweep_backends(
     ``transport`` / ``reuse`` select the process backend's data plane
     for the sweep (ignored by serial/thread rows); a transport downgrade
     surfaces in the row's events like a backend downgrade does.
-    ``schedule`` picks the chunk discipline (static / dynamic / guided /
-    adaptive) for the pooled rows — schedules change timing, never
-    results, which the checksum cross-check enforces.
+    ``schedule`` picks the chunk discipline (static / dynamic / guided;
+    adaptive is guided's alias) for the pooled rows — schedules change
+    timing, never results, which the checksum cross-check enforces.
     """
     kernels = default_kernels(scale) if kernels is None else list(kernels)
     rows: list[SweepRow] = []

@@ -13,7 +13,7 @@ Control flow: ``continue`` only affects its own iteration and is fine;
 (same reasoning as the pipeline PLCD rule).
 
 Tuning parameters: ``NumWorkers``, ``ChunkSize``, ``Schedule`` (static /
-dynamic / guided / adaptive assignment of chunk descriptors — see
+dynamic / guided assignment of chunk descriptors — see
 ``repro.runtime.adaptive``) and ``SequentialExecution`` — the latter
 implements the paper's guarantee that a transformed loop "never leads to a
 slowdown in comparison to the former sequential version" on short streams.

@@ -14,13 +14,7 @@ these types directly:
 [4, 6, 8]
 """
 
-from repro.runtime.adaptive import (
-    SCHEDULES,
-    AdaptDecision,
-    AdaptiveController,
-    plan_chunks,
-    plan_guided,
-)
+from repro.runtime.adaptive import SCHEDULES, plan_chunks, plan_guided
 from repro.runtime.backend import (
     BACKENDS,
     BackendEvent,
@@ -97,8 +91,6 @@ from repro.runtime.tunable import TuningConfig
 __all__ = [
     "BACKENDS",
     "SCHEDULES",
-    "AdaptDecision",
-    "AdaptiveController",
     "plan_chunks",
     "plan_guided",
     "BackendEvent",

@@ -521,9 +521,8 @@ def ship_callable(fn: Callable) -> Callable:
 class ChunkResult:
     """One chunk's outcome, from any executor (in-process or a worker)."""
 
-    #: the chunk's run-wide index: its journal, chaos-stream and
-    #: profiler identity.  Executors collect by position in the executed
-    #: plan, which differs from it only in the waves of an adaptive run
+    #: the chunk's position in the call's plan: its journal, chaos-stream
+    #: and profiler identity
     index: int
     #: per-element results (map mode) or a single folded partial (reduce)
     values: list[Any]
@@ -554,7 +553,7 @@ class ProcessRun:
     """What an executor saw: delivered chunks plus failure evidence.
 
     The process collector fills every field; the in-process executors
-    report delivered chunks and latencies only.
+    report delivered chunks only.
     """
 
     chunks: dict[int, ChunkResult]
@@ -563,8 +562,7 @@ class ProcessRun:
     #: crash-recovery history (worker_lost / respawn / redispatch / hedge)
     recovery: list[RecoveryEvent] = field(default_factory=list)
     #: chunk index -> claim-to-delivery seconds from the ownership
-    #: ledger (first result only; dedup losers are not timed) — the
-    #: feedback the adaptive scheduler's controller consumes
+    #: ledger (first result only; dedup losers are not timed)
     latencies: dict[int, float] = field(default_factory=dict)
 
     def missing(
@@ -585,8 +583,8 @@ class ProcessPayload:
     spec) — a warm :class:`PoolSession` ships it to each worker once per
     distinct ``digest`` and refers to it by digest afterwards.
     ``call_blob`` is the per-call delta: the input spec (inline values
-    or a shared-memory block reference), the output-region spec, the
-    chunk bounds and their run-wide indices (``None``: their positions).
+    or a shared-memory block reference), the output-region spec and the
+    chunk bounds.
     """
 
     kernel_blob: bytes
@@ -635,7 +633,7 @@ def build_process_payload(
         if input_spec is None:
             input_spec = ("inline", list(vals))
         call_blob = pickle.dumps(
-            (input_spec, out_spec, list(chunks), None),
+            (input_spec, out_spec, list(chunks)),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         digest = hashlib.sha1(kernel_blob).hexdigest()
@@ -920,7 +918,6 @@ def _serve_call(
     loaded: tuple,
     vals,
     chunks: list[tuple[int, int]],
-    ids: Sequence[int] | None,
     out,
     skip: Sequence[int],
     assigned: Sequence[tuple[int, int]] | None,
@@ -931,9 +928,8 @@ def _serve_call(
     ``uid`` is the worker's identity in every message; ``slot`` is its
     static-stripe position for this call (equal to ``uid`` in a cold
     pool).  Every message carries ``gen`` so the parent can discard
-    stragglers from earlier calls of a reused pool.  Chunks are claimed
-    and reported by position in ``chunks`` and run under their run-wide
-    index ``ids[k]`` (``k`` itself when ``ids`` is ``None``).
+    stragglers from earlier calls of a reused pool.  Chunks are claimed,
+    run and reported by their position in ``chunks``.
 
     Original pool members claim chunks per ``schedule``; replacement and
     hedge workers receive an explicit ``assigned`` list of
@@ -1009,12 +1005,11 @@ def _serve_call(
         if claimed is None:
             break
         k, attempt = claimed
-        ident = k if ids is None else ids[k]
         # ownership ledger: announce the claim before running, so a
         # death mid-chunk tells the parent exactly what to re-dispatch
         result_q.put(pickle.dumps(("claim", uid, k, attempt, gen)))
         if injector is not None and injector.should_kill(
-            f"{label}#c{ident}", attempt
+            f"{label}#c{k}", attempt
         ):
             # Seeded chaos worker-kill.  Announce the kill first (the
             # registry dies with the process, so the one metric a kill
@@ -1029,7 +1024,7 @@ def _serve_call(
             result_q.join_thread()
             os.kill(os.getpid(), signal.SIGKILL)
         chunk = run_chunk(
-            kernel, ident, chunks[k], vals, should_stop,
+            kernel, k, chunks[k], vals, should_stop,
             trace=trace, metrics=wmetrics, profiler=wprofiler,
         )
         if chunk is None:
@@ -1099,7 +1094,7 @@ def _worker_main(
     closers = []
     try:
         kernel = _load_kernel(kernel_blob)
-        input_spec, out_spec, chunks, ids = pickle.loads(call_blob)
+        input_spec, out_spec, chunks = pickle.loads(call_blob)
         vals, close_in = _resolve_input(input_spec)
         if close_in is not None:
             closers.append(close_in)
@@ -1113,7 +1108,7 @@ def _worker_main(
     try:
         _serve_call(
             wid, wid, 0, nworkers, schedule, counter, result_q,
-            stop_flag, cancel_flag, kernel, vals, chunks, ids, out,
+            stop_flag, cancel_flag, kernel, vals, chunks, out,
             skip, assigned,
         )
     finally:
@@ -1155,7 +1150,7 @@ def _session_worker_main(
             if kernel_blob is not None and digest not in kernels:
                 kernels[digest] = _load_kernel(kernel_blob)
             kernel = kernels[digest]
-            input_spec, out_spec, chunks, ids = pickle.loads(call_blob)
+            input_spec, out_spec, chunks = pickle.loads(call_blob)
             vals, close_in = _resolve_input(input_spec)
             if close_in is not None:
                 closers.append(close_in)
@@ -1169,7 +1164,7 @@ def _session_worker_main(
         try:
             _serve_call(
                 uid, slot, gen, nworkers, schedule, counter, result_q,
-                stop_flag, None, kernel, vals, chunks, ids, out,
+                stop_flag, None, kernel, vals, chunks, out,
                 skip, assigned,
             )
         finally:
@@ -1332,15 +1327,13 @@ class PoolSession:
     def resize(self, workers: int) -> None:
         """Re-tune the session's target width between calls.
 
-        The adaptive scheduler's in-run controller calls this while
-        holding :attr:`lock` between waves: the next ``begin_call``
-        heals *up* to the new strength (spawning any missing members)
-        and ``end_call`` retires members *beyond* it — workers are
-        never terminated mid-call, only grown or shed at the
-        generation boundary.  Callers that resize a session obtained
-        from the width-keyed :func:`get_session` registry must restore
-        the original width before releasing the lock, or the registry
-        key would lie about the pool underneath it.
+        The next ``begin_call`` heals *up* to the new strength (spawning
+        any missing members) and ``end_call`` retires members *beyond*
+        it — workers are never terminated mid-call, only grown or shed
+        at the generation boundary.  Callers that resize a session
+        obtained from the width-keyed :func:`get_session` registry must
+        restore the original width before releasing the lock, or the
+        registry key would lie about the pool underneath it.
         """
         self.nworkers = max(1, int(workers))
 

@@ -19,18 +19,17 @@ Design contract:
   discarded on load, and is truncated away on :meth:`resume` so the
   journal stays well-formed for further appends;
 * **shape-validated** — the journal records the run shape
-  (``n``/``chunk_size``/``label``, and since the adaptive-scheduling
-  work the ``schedule``) the first time a run binds to it; resuming
-  with a different shape raises :class:`CheckpointError` instead of
-  silently splicing mismatched chunk bounds;
-* **plan-carrying** — variable-size schedules (``guided``,
-  ``adaptive``) journal their chunk *plan* (append-only ``plan``
-  records mapping chunk index → ``(lo, hi)`` bounds) before
-  dispatching, because those plans depend on worker count and in-run
-  feedback and cannot be re-derived deterministically on resume; a
-  resumed run replays the journaled descriptors verbatim, which is
-  what keeps chunk identity (ledger, dedup, journal indices) stable
-  across the round-trip.  The planned-descriptor count is the
+  (``n``/``chunk_size``/``label``, and for a map the ``schedule``) the
+  first time a run binds to it; resuming with a different shape raises
+  :class:`CheckpointError` instead of silently splicing mismatched
+  chunk bounds;
+* **plan-carrying** — the variable-size ``guided`` schedule journals
+  its chunk *plan* (append-only ``plan`` records mapping chunk index →
+  ``(lo, hi)`` bounds) before dispatching, because the plan depends on
+  the worker count and cannot be re-derived on a resume with another
+  width; a resumed run replays the journaled descriptors verbatim,
+  which is what keeps chunk identity (ledger, dedup, journal indices)
+  stable across the round-trip.  The planned-descriptor count is the
   generalized conservation denominator:
   ``chunks_completed - chunks_deduped = planned descriptors``;
 * **at-least-once tolerant** — duplicate records for a chunk index are
@@ -56,6 +55,8 @@ import time
 import zlib
 from pathlib import Path
 from typing import Any, Iterator
+
+from repro.runtime.adaptive import ALIASES
 
 #: file magic: repro journal, format version 1
 MAGIC = b"RPJ1"
@@ -244,9 +245,11 @@ class ChunkJournal:
         schedules arrived, the ``schedule`` is part of the shape too —
         a journal planned by ``guided`` cannot be resumed as
         ``dynamic``, because the chunk indices would name different
-        element ranges.  Journals written before schedules were
-        recorded (no ``schedule`` in their shape record) resume under
-        any schedule, for backward compatibility.
+        element ranges.  An alias and the schedule it names are one
+        schedule: a journal an ``adaptive`` run stamped resumes as
+        ``guided`` and the other way round.  Journals written before
+        schedules were recorded (no ``schedule`` in their shape record)
+        resume under any schedule, for backward compatibility.
         """
         wanted = {
             "kind": "shape",
@@ -265,6 +268,11 @@ class ChunkJournal:
             keys.append("schedule")
         have = {k: self._shape.get(k) for k in keys}
         want = {k: wanted[k] for k in keys}
+        if "schedule" in keys:
+            for shape in (have, want):
+                shape["schedule"] = ALIASES.get(
+                    shape["schedule"], shape["schedule"]
+                )
         if have != want:
             raise CheckpointError(
                 f"journal {self.path} was written for run shape {have}, "
@@ -272,12 +280,12 @@ class ChunkJournal:
             )
 
     def plan(self, base: int, bounds: list[tuple[int, int]]) -> None:
-        """Journal one wave of planned descriptors *before* dispatch.
+        """Journal planned descriptors *before* dispatch.
 
         ``bounds[i]`` becomes chunk index ``base + i``.  Plan-ahead
         logging: the record is appended and flushed before any of the
-        wave executes, so a kill mid-wave leaves the plan on disk and
-        resume re-executes exactly these descriptors under their
+        descriptors executes, so a kill mid-run leaves the plan on disk
+        and resume re-executes exactly these descriptors under their
         original indices.  Re-planning an index already journaled is
         idempotent (identical bounds win; conflicting bounds raise).
         """

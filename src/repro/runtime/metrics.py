@@ -16,7 +16,7 @@ respawn re-dispatch) is dropped *whole* by the collector's
 first-result-wins dedup, its metric delta is dropped with it — counter
 conservation (``chunks_completed - chunks_deduped = chunks_planned``,
 where ``chunks_planned`` counts the descriptors the run planned to
-dispatch — fixed stride or variable guided/adaptive sizes alike) holds
+dispatch — fixed stride or variable guided sizes alike) holds
 under crash recovery without any metric-specific dedup logic.
 
 Metrics are **off by default** and cost one ``None`` check when

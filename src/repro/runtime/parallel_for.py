@@ -12,13 +12,13 @@ Every pattern call — ``parallel_for``, ``parallel_reduce`` and
 :meth:`~repro.runtime.masterworker.MasterWorker.run` — runs on one chunk
 engine (:func:`_engine`):
 
-* **plan** — ``(lo, hi)`` descriptors: a fixed or guided plan is a
-  single wave, the ``adaptive`` controller supplies many;
+* **plan** — one list of ``(lo, hi)`` descriptors, fixed-stride or
+  guided, journaled before dispatch when a checkpoint is attached;
 * **chunk kernel** — :func:`~repro.runtime.backend.run_chunk` per
   descriptor: chaos stream, profiler window, fault policy, spans;
 * **deliver** — :func:`~repro.runtime.backend.deliver_chunk` per chunk:
   counters, latency, profile, journal record;
-* **assemble** — :func:`_assemble_process_run` per wave: values,
+* **assemble** — :func:`_assemble_process_run` once per call: values,
   ledger, chaos counts, spans, and the error to raise.
 
 The backends differ only in who runs the kernel: ``serial`` in the
@@ -45,25 +45,21 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import pickle
 import threading
 import time
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.runtime.adaptive import (
     SCHEDULES,
-    AdaptiveController,
-    WaveResult,
+    normalize_schedule,
     plan_chunks,
     plan_fixed,
     plan_guided,
-    run_adaptive,
 )
 from repro.runtime.backend import (
     BackendEvent,
     ChunkResult,
     Kernel,
-    ProcessPayload,
     ProcessRun,
     RecoveryEvent,
     TuningError,
@@ -128,8 +124,9 @@ def _resolve_plan(
     the journaled descriptors are replayed verbatim — that is what keeps
     chunk indices naming the same element ranges across the resume —
     and any uncovered tail (a run killed before it finished planning) is
-    extended with the guided shrink and journaled.  Fresh plans are
-    journaled before dispatch when a checkpoint is attached.
+    extended with the guided shrink and journaled.  A journal that an
+    older ``adaptive`` run planned in waves resumes the same way.  Fresh
+    plans are journaled before dispatch when a checkpoint is attached.
     """
     if schedule in ("static", "dynamic"):
         return plan_fixed(n, chunk_size)
@@ -216,7 +213,6 @@ def _run_in_process(
     kernel: Kernel,
     vals: Sequence[Any],
     bounds: Sequence[tuple[int, int]],
-    ids: Sequence[int],
     *,
     width: int,
     threads: bool,
@@ -230,10 +226,10 @@ def _run_in_process(
 ) -> ProcessRun:
     """Execute a plan in this process: the serial and thread executor.
 
-    Runs :func:`~repro.runtime.backend.run_chunk` per descriptor, under
-    its run-wide index ``ids[k]`` — in the calling thread, or on up to
-    ``width`` claiming threads (round-robin stripes under ``static``, a
-    shared counter otherwise) — and hands each chunk to
+    Runs :func:`~repro.runtime.backend.run_chunk` per descriptor — in
+    the calling thread, or on up to ``width`` claiming threads
+    (round-robin stripes under ``static``, a shared counter otherwise) —
+    and hands each chunk to
     :func:`~repro.runtime.backend.deliver_chunk` as it completes.  A
     failed chunk, a fired ``cancel`` or an escaping exception stops every
     thread from claiming more.  Nothing is pickled.
@@ -241,7 +237,6 @@ def _run_in_process(
     todo = [k for k in range(len(bounds)) if k not in skip]
     width = max(1, min(width, len(todo))) if threads else 1
     delivered: dict[int, ChunkResult] = {}
-    latencies: dict[int, float] = {}
     errors: list[BaseException] = []
     halt = threading.Event()
 
@@ -258,19 +253,18 @@ def _run_in_process(
                     metrics.inc("chunks_dispatched", stage=kernel.label)
                 started = time.monotonic()
                 chunk = run_chunk(
-                    kernel, ids[k], bounds[k], vals, stopped, cancel=cancel,
+                    kernel, k, bounds[k], vals, stopped, cancel=cancel,
                     trace=trace, metrics=metrics, profiler=profiler,
                 )
                 if chunk is None:
                     return
                 delivered[k] = chunk
-                latencies[k] = time.monotonic() - started
                 if chunk.failed:
                     halt.set()
                 deliver_chunk(
-                    chunk, bounds[k], latencies[k], label=kernel.label,
-                    journal=journal, trace=trace, metrics=metrics,
-                    profiler=profiler,
+                    chunk, bounds[k], time.monotonic() - started,
+                    label=kernel.label, journal=journal, trace=trace,
+                    metrics=metrics, profiler=profiler,
                 )
         except BaseException as exc:
             errors.append(exc)
@@ -305,9 +299,7 @@ def _run_in_process(
         work(claims[0])
     if errors:
         raise errors[0]
-    return ProcessRun(
-        chunks=delivered, fatal=[], leaked=[], latencies=latencies
-    )
+    return ProcessRun(chunks=delivered, fatal=[], leaked=[])
 
 
 def _engine(
@@ -368,6 +360,8 @@ def _engine(
     )
     if not n:
         return results
+    # ``adaptive`` plans, journals and claims as ``guided`` from here on
+    schedule = normalize_schedule(schedule)
     # A resumed journal's completed chunks are prefilled from their
     # journaled bounds and never re-executed; chunks completed by *this*
     # run are journaled as they are delivered.
@@ -390,37 +384,23 @@ def _engine(
                 results[lo + offset] = value
     skip = frozenset(done)
 
-    adaptive = schedule == "adaptive"
-    if adaptive:
-        planned = checkpoint.planned() if checkpoint is not None else {}
-        replay = {k: b for k, b in planned.items() if k not in skip}
-        controller = AdaptiveController(
-            n, chunk_size, workers,
-            start=max((hi for _lo, hi in planned.values()), default=0),
-            trace=trace, metrics=metrics, label=label,
-        )
-        if controller.done and not replay:
-            return results
-        plan: list[tuple[int, int]] = []
-        width = workers
-    else:
-        # ``chunks_planned`` counts the descriptors *this* run executes,
-        # the right-hand side of the conservation invariant
-        # chunks_completed - chunks_deduped = chunks_planned
-        plan = _resolve_plan(n, chunk_size, schedule, workers, checkpoint)
-        live = len(plan) - len(skip)
-        if metrics is not None:
-            metrics.inc("chunks_planned", max(0, live), stage=label)
-        if live <= 0:
-            return results
-        width = min(workers, live)
+    # ``chunks_planned`` counts the descriptors *this* run executes, the
+    # right-hand side of the conservation invariant
+    # chunks_completed - chunks_deduped = chunks_planned
+    plan = _resolve_plan(n, chunk_size, schedule, workers, checkpoint)
+    live = len(plan) - len(skip)
+    if metrics is not None:
+        metrics.inc("chunks_planned", max(0, live), stage=label)
+    if live <= 0:
+        return results
+    width = min(workers, live)
     kernel = Kernel(
         body, policy, chaos.spec() if chaos is not None else None,
         reduce_op, label,
     )
 
     with contextlib.ExitStack() as stack:
-        execute = None
+        run = None
         if backend == "process":
             input_spec = out_spec = shm_out = None
             if normalize_transport(transport) == "shm":
@@ -433,7 +413,7 @@ def _engine(
                     # alive until the last close, so disposing is safe
                     stack.callback(shm_in.dispose)
                     input_spec = ("shm", shm_in.spec())
-                    if reduce_op is None and not adaptive:
+                    if reduce_op is None:
                         shm_out = ShmOutput.build(n, len(plan))
                         stack.callback(shm_out.dispose)
                         out_spec = shm_out.spec()
@@ -453,66 +433,26 @@ def _engine(
                     stack.enter_context(warm_session(width, metrics, label))
                     if reuse else None
                 )
-                wave_input = input_spec or ("inline", vals)
-
-                def execute(bounds, ids, *, width, skip) -> ProcessRun:
-                    wave_payload = payload
-                    if adaptive:
-                        # one pool call per wave: the kernel blob ships
-                        # once per warm worker, each wave its descriptors
-                        if session is not None:
-                            session.resize(width)
-                        wave_payload = ProcessPayload(
-                            payload.kernel_blob,
-                            pickle.dumps(
-                                (wave_input, None, list(bounds), list(ids)),
-                                protocol=pickle.HIGHEST_PROTOCOL,
-                            ),
-                            payload.digest,
-                        )
-                    return run_process_chunks(
-                        wave_payload, bounds, workers=width,
-                        schedule=schedule, cancel=cancel,
-                        max_restarts=restarts, hedge=hedge, completed=skip,
-                        trace=trace, metrics=metrics, profiler=profiler,
-                        label=label, checkpoint=checkpoint,
-                        out_values=shm_out, session=session,
-                    )
-
-        if execute is None:
-            execute = functools.partial(
-                _run_in_process, kernel, vals,
-                threads=backend != "serial", schedule=schedule,
+                run = run_process_chunks(
+                    payload, plan, workers=width, schedule=schedule,
+                    cancel=cancel, max_restarts=restarts, hedge=hedge,
+                    completed=skip, trace=trace, metrics=metrics,
+                    profiler=profiler, label=label, checkpoint=checkpoint,
+                    out_values=shm_out, session=session,
+                )
+        if run is None:
+            run = _run_in_process(
+                kernel, vals, plan, width=width,
+                threads=backend != "serial", schedule=schedule, skip=skip,
                 journal=checkpoint, cancel=cancel, trace=trace,
                 metrics=metrics, profiler=profiler,
             )
-
-        def wave(
-            bounds: list[tuple[int, int]],
-            ids: Sequence[int],
-            width: int,
-            skip: frozenset[int] = frozenset(),
-        ) -> WaveResult:
-            started = time.monotonic()
-            run = execute(bounds, ids, width=width, skip=skip)
-            if recovery is not None:
-                recovery.extend(run.recovery)
-            _assemble_process_run(
-                run, bounds, results, ledger, chaos, cancel,
-                trace=trace, stage=label, completed=skip,
-            )
-            return WaveResult(
-                latencies=dict(run.latencies),
-                elapsed=time.monotonic() - started,
-            )
-
-        if adaptive:
-            run_adaptive(
-                controller, wave, journal=checkpoint, replay=replay,
-                base=max(planned, default=-1) + 1,
-            )
-        else:
-            wave(plan, range(len(plan)), width, skip)
+        if recovery is not None:
+            recovery.extend(run.recovery)
+        _assemble_process_run(
+            run, plan, results, ledger, chaos, cancel,
+            trace=trace, stage=label, completed=skip,
+        )
     return results
 
 
@@ -547,8 +487,9 @@ def parallel_for(
     ``"dynamic"`` lets workers pull the next chunk from a shared
     counter.  ``"guided"`` plans geometrically shrinking descriptors
     (``ChunkSize`` becomes the minimum chunk) claimed from the same
-    counter; ``"adaptive"`` dispatches in waves and re-tunes chunk size
-    and pool width mid-run from per-chunk latency feedback (see
+    counter.  ``"adaptive"`` is an alias of ``"guided"``: its in-run
+    wave controller shed warm workers it then respawned every call, and
+    the guided plan beat it about 2.2× on a skewed loop (see
     :mod:`repro.runtime.adaptive`).  ``sequential=True`` (the
     SequentialExecution parameter), a ``backend="serial"``, or a stream
     shorter than ``sequential_threshold`` runs the chunks in the calling

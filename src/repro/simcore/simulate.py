@@ -208,11 +208,10 @@ def simulate_doall(
 
     ``Schedule@loop`` covers the full runtime domain: ``static`` stripes
     fixed chunks round-robin, ``dynamic`` claims fixed chunks from a
-    shared counter, and ``guided``/``adaptive`` claim the variable-size
-    descriptor plan from :func:`repro.runtime.adaptive.plan_chunks`
-    (the simulator has no in-run latency feedback, so ``adaptive`` is
-    modeled by its zero-feedback prior — the guided plan; the real
-    controller only improves on it).
+    shared counter, and ``guided`` claims the variable-size descriptor
+    plan from :func:`repro.runtime.adaptive.plan_chunks`.  ``adaptive``
+    is an alias of ``guided`` in the runtime, so the simulator runs the
+    exact plan the runtime executes.
     """
     config = dict(config or {})
     costs = list(element_costs)
@@ -244,9 +243,9 @@ def simulate_doall(
         yield env.timeout((w + 1) * machine.thread_spawn)
         while True:
             if schedule != "static":
-                # dynamic, guided and adaptive all claim descriptors
-                # from the shared counter; the plans differ, not the
-                # claim discipline
+                # dynamic and guided both claim descriptors from the
+                # shared counter; the plans differ, not the claim
+                # discipline
                 if shared["next"] >= len(chunks):
                     break
                 lo, hi = chunks[shared["next"]]

@@ -109,12 +109,12 @@ def schedule_dimension(target: str = "loop") -> TuningParameter:
     The same ``Schedule@<target>`` key ``configured_parallel_for``
     honours, widened past the classic static/dynamic pair: ``guided``
     plans geometrically shrinking descriptors (OpenMP guided
-    self-scheduling — ``ChunkSize`` becomes the minimum chunk) and
-    ``adaptive`` re-tunes chunk size and pool width *during* the run
-    from per-chunk latency feedback (``repro.runtime.adaptive``).  A
-    tuner explores the discipline like any other knob, so skewed
-    workloads discover guided/adaptive empirically instead of by
-    rule-of-thumb.
+    self-scheduling — ``ChunkSize`` becomes the minimum chunk).  The
+    runtime's ``adaptive`` is an alias of ``guided``
+    (``repro.runtime.adaptive``), so the dimension leaves it out and no
+    trial re-measures guided under a second name.  A tuner explores the
+    discipline like any other knob, so skewed workloads discover guided
+    empirically instead of by rule-of-thumb.
     """
     from repro.patterns.tuning import (
         SCHEDULE,

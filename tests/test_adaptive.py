@@ -1,10 +1,11 @@
-"""Adaptive scheduling: descriptor planners, the in-run controller,
-wave dispatch, plan-carrying journals, and checkpoint/resume round
-trips with variable-size chunks — including under seeded worker kills."""
+"""Variable-size scheduling: descriptor planners, the ``adaptive`` alias
+of ``guided``, plan-carrying journals, and checkpoint/resume round trips
+with variable-size chunks — including under seeded worker kills."""
 
 import functools
 import os
 import pathlib
+import random
 import signal
 import time
 
@@ -12,7 +13,6 @@ import pytest
 
 from repro.runtime import (
     SCHEDULES,
-    AdaptiveController,
     ChaosInjector,
     CheckpointError,
     ChunkJournal,
@@ -22,13 +22,9 @@ from repro.runtime import (
     plan_chunks,
     plan_guided,
 )
-from repro.runtime.adaptive import (
-    WaveResult,
-    plan_fixed,
-    run_adaptive,
-)
+from repro.runtime.adaptive import normalize_schedule, plan_fixed
+from repro.runtime.backend import get_session
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.trace import TraceCollector
 
 
 def square(x):
@@ -44,6 +40,14 @@ def kill_once(x, marker="", victim=7):
             time.sleep(0.1)
             os.kill(os.getpid(), signal.SIGKILL)
     return x * x
+
+
+def spin(steps):
+    """An LCG spun ``steps`` times: CPU work proportional to ``steps``."""
+    acc = steps
+    for _ in range(steps):
+        acc = (acc * 1103515245 + 12345) & 0x7FFFFFFF
+    return acc
 
 
 def contiguous(bounds, n, start=0):
@@ -97,116 +101,13 @@ class TestPlanners:
         assert fixed == plan_chunks(40, 4, "dynamic") == plan_fixed(40, 4)
         guided = plan_chunks(40, 1, "guided", workers=4)
         assert guided == plan_guided(40, 1, 4)
-        # adaptive's single-shot plan is its zero-feedback prior
+        # adaptive is an alias of guided: the same plan
         assert plan_chunks(40, 1, "adaptive", workers=4) == guided
+        assert normalize_schedule("adaptive") == "guided"
 
     def test_plan_chunks_rejects_junk(self):
         with pytest.raises(TuningError):
             plan_chunks(10, 1, "magic")
-
-
-# ---------------------------------------------------------------------------
-# the in-run controller
-# ---------------------------------------------------------------------------
-
-class TestController:
-    def test_waves_tile_the_space(self):
-        c = AdaptiveController(500, 4, workers=3)
-        all_bounds = []
-        while not c.done:
-            all_bounds.extend(c.next_wave())
-        assert contiguous(all_bounds, 500)
-
-    def test_knob_clamped_to_leave_feedback_room(self):
-        # a ChunkSize the size of the whole space must not hand wave one
-        # everything — the clamp keeps at least a few waves of feedback
-        c = AdaptiveController(100, 100, workers=4)
-        assert c.chunk == c.max_chunk == 13  # ceil(100 / 8)
-
-    def test_dispatch_bound_chunks_double(self):
-        c = AdaptiveController(10_000, 2, workers=2)
-        c.next_wave()
-        d = c.observe([0.001] * 4, elapsed=0.004)
-        assert d is not None and c.chunk == 4
-        assert "dispatch-bound" in d.reason
-
-    def test_long_chunks_halve(self):
-        c = AdaptiveController(10_000, 64, workers=2)
-        c.next_wave()
-        d = c.observe([0.5] * 4, elapsed=1.0)
-        assert d is not None and c.chunk == 32
-
-    def test_straggler_skew_halves_even_in_window(self):
-        c = AdaptiveController(10_000, 64, workers=2)
-        c.next_wave()
-        # mean sits inside the target window, but one chunk is 10x the
-        # median — skew evidence wins
-        d = c.observe([0.02, 0.02, 0.02, 0.2], elapsed=0.26)
-        assert d is not None and c.chunk == 32
-        assert "straggler" in d.reason
-
-    def test_idle_pool_sheds_a_worker(self):
-        c = AdaptiveController(100_000, 32, workers=4)
-        c.next_wave()
-        d = c.observe([0.02] * 8, elapsed=0.4)  # busy 16/160 = 10%
-        assert d is not None and c.workers == 3
-        assert "idling" in d.reason
-
-    def test_saturated_pool_regrows_to_cap(self):
-        c = AdaptiveController(100_000, 32, workers=4)
-        c.workers = 3
-        c.next_wave()
-        d = c.observe([0.1] * 6, elapsed=0.2)  # busy 0.6/0.6 = 100%
-        assert d is not None and c.workers == 4
-        # and never past the requested NumWorkers
-        c.next_wave()
-        d2 = c.observe([0.1] * 8, elapsed=0.2)
-        assert c.workers == 4
-
-    def test_steady_wave_changes_nothing(self):
-        c = AdaptiveController(100_000, 32, workers=2)
-        c.next_wave()
-        # mean inside the window, no skew, utilization in band
-        assert c.observe([0.05, 0.05, 0.06, 0.06], elapsed=0.15) is None
-        assert c.chunk == 32 and c.workers == 2
-
-    def test_decisions_emit_trace_and_metrics(self):
-        reg = MetricsRegistry()
-        collector = TraceCollector()
-        c = AdaptiveController(
-            10_000, 2, workers=2, trace=collector, metrics=reg
-        )
-        c.next_wave()
-        c.observe([0.001] * 4, elapsed=0.004)
-        assert reg.total("adapt_waves") == 1
-        assert reg.total("adapt_retunes") == 1
-        assert reg.total("adapt_grows") == 1
-        assert reg.gauge("adapt_chunk_size", stage="loop").value == 4
-        assert any(s.kind == "adapt" for s in collector.spans())
-
-    def test_run_adaptive_replays_sparse_indices_first(self):
-        seen: list[tuple[tuple[int, int], int]] = []
-
-        def dispatch(bounds, indices, workers):
-            seen.extend(zip(bounds, indices))
-            return WaveResult(
-                latencies={k: 0.05 for k in range(len(bounds))},
-                elapsed=0.1,
-            )
-
-        c = AdaptiveController(20, 2, workers=2, start=12)
-        n = run_adaptive(
-            c, dispatch,
-            replay={1: (2, 4), 4: (8, 10)},  # sparse survivors
-            base=6,
-        )
-        # the replayed descriptors went out first, under their original
-        # journal indices, before any freshly planned wave
-        assert seen[0] == ((2, 4), 1)
-        assert seen[1] == ((8, 10), 4)
-        fresh = [b for b, _k in seen[2:]]
-        assert contiguous(fresh, 20, start=12)
-        assert n == len(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +148,51 @@ class TestPlanJournal:
             with pytest.raises(CheckpointError, match="shape"):
                 j2.bind(20, 2, schedule="dynamic")
 
+    @pytest.mark.parametrize("schedule", ["guided", "adaptive"])
+    def test_adaptive_wave_journal_resumes_under_either_name(
+        self, tmp_path, schedule
+    ):
+        # what an earlier adaptive run left behind: the shape stamped
+        # "adaptive", two waves of fixed-size descriptors planned ahead
+        # of dispatch, and some of their chunks recorded
+        n, chunk, workers = 40, 2, 2
+        waves = (
+            [(0, 2), (2, 4), (4, 6), (6, 8)],
+            [(8, 12), (12, 16), (16, 20), (20, 24)],
+        )
+        old_plan = waves[0] + waves[1]
+        recorded = (0, 1, 3, 5)
+        path = tmp_path / "waves.journal"
+        with ChunkJournal.create(path) as j:
+            j.bind(n, chunk, schedule="adaptive")
+            j.plan(0, waves[0])
+            j.plan(len(waves[0]), waves[1])
+            for k in recorded:
+                lo, hi = old_plan[k]
+                j.record(k, lo, hi, [square(x) for x in range(lo, hi)])
+        with ChunkJournal.resume(path) as j2:
+            with pytest.raises(CheckpointError, match="shape"):
+                j2.bind(n, chunk, schedule="dynamic")
+        ran = []
+
+        def body(x):
+            ran.append(x)
+            return square(x)
+
+        with ChunkJournal.resume(path) as j3:
+            out = parallel_for(
+                range(n), body, workers=workers, chunk_size=chunk,
+                schedule=schedule, backend="thread", checkpoint=j3,
+            )
+            planned = list(j3.planned().values())
+        assert out == [square(x) for x in range(n)]
+        # the journaled waves replay verbatim; the uncovered tail gets
+        # the guided shrink
+        assert planned == old_plan + plan_guided(n, chunk, workers, start=24)
+        # no recorded chunk runs again, everything else runs once
+        done = {x for k in recorded for x in range(*old_plan[k])}
+        assert sorted(ran) == sorted(set(range(n)) - done)
+
     def test_legacy_journal_resumes_under_any_schedule(self, tmp_path):
         # journals written before schedules were part of the shape carry
         # no schedule key; they must keep resuming
@@ -271,19 +217,42 @@ class TestEndToEnd:
         )
         assert out == [x * x for x in range(50)]
 
-    def test_adaptive_emits_adapt_telemetry(self):
+    def test_adaptive_conserves_planned_chunks(self):
         reg = MetricsRegistry()
         out = parallel_for(
             range(64), square, workers=3, chunk_size=2,
             schedule="adaptive", backend="process", metrics=reg,
         )
         assert out == [x * x for x in range(64)]
-        assert reg.total("adapt_waves") > 0
         assert reg.total("chunks_planned") > 0
         assert (
             reg.total("chunks_completed") - reg.total("chunks_deduped")
             == reg.total("chunks_planned")
         )
+
+    def test_adaptive_keeps_the_warm_pool_whole(self):
+        # skewed costs on a warm 2-worker pool: each call dispatches the
+        # whole guided plan once, so every call after the first finds the
+        # same two workers (no worker shed mid-call, none respawned)
+        rng = random.Random(1)
+        costs = [
+            min(20_000, int(rng.paretovariate(1.2) * 40)) for _ in range(120)
+        ]
+        expected = [spin(c) for c in costs]
+        pids = []
+        for _ in range(3):
+            reg = MetricsRegistry()
+            out = parallel_for(
+                costs, spin, workers=2, chunk_size=2, schedule="adaptive",
+                backend="process", reuse=True, metrics=reg,
+            )
+            assert out == expected
+            assert reg.total("chunks_planned") == len(
+                plan_guided(len(costs), 2, 2)
+            )
+            pids.append(sorted(get_session(2).pids))
+        assert len(pids[0]) == 2
+        assert pids[1] == pids[0] and pids[2] == pids[0]
 
     @pytest.mark.parametrize("schedule", ["guided", "adaptive"])
     def test_full_run_resumes_without_reexecution(self, tmp_path, schedule):

@@ -4,13 +4,11 @@ Every schedule is run on all three backends with the cross-cutting
 features on — a fault policy with poison elements, seeded chaos, a
 checkpoint journal, metrics and the profiler — and the runs must agree
 on values, the error ledger, counter totals, profiler work records and
-the journal.  Plans are deterministic: ``adaptive`` is sized so its
-controller plans the whole space in one wave on every backend, or runs
-a controller that never re-tunes.
+the journal.  Plans are deterministic on every schedule, ``adaptive``
+(an alias of ``guided``) included.
 """
 
 import functools
-import importlib
 import operator
 import random
 import sys
@@ -28,15 +26,13 @@ from repro.runtime import (
     parallel_for,
     parallel_reduce,
 )
-from repro.runtime.adaptive import AdaptiveController
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.profiler import SamplingProfiler
 from repro.runtime.trace import TraceCollector
 
 N = 48
 WORKERS = 2
-#: per schedule; ``adaptive`` needs ChunkSize >= N / (2 * workers) for a
-#: single controller wave, which keeps its plan latency-independent
+#: per schedule; ``adaptive`` runs guided's plan at a coarser floor
 CHUNK = {"static": 5, "dynamic": 5, "guided": 3, "adaptive": 12}
 POISON = frozenset({3, 17, 30})
 
@@ -44,7 +40,7 @@ COUNTERS = (
     "chunks_planned", "chunks_dispatched", "chunks_completed",
     "chunks_deduped", "elements_delivered", "elements_fallback",
     "elements_failed", "elements_skipped", "element_retries",
-    "chaos_faults", "adapt_waves",
+    "chaos_faults",
 )
 
 
@@ -149,44 +145,6 @@ class TestEveryScheduleEveryBackend:
         }
 
 
-class SteadyController(AdaptiveController):
-    """Never re-tunes: the waves depend on (n, chunk, workers) alone."""
-
-    def observe(self, latencies, elapsed):
-        return None
-
-
-def test_adaptive_waves_keep_run_wide_chunk_identity(monkeypatch, tmp_path):
-    engine = importlib.import_module("repro.runtime.parallel_for")
-    monkeypatch.setattr(engine, "AdaptiveController", SteadyController)
-    policy = FaultPolicy(on_error="fallback", fallback=None)
-
-    def chaotic(backend, schedule):
-        return run(
-            backend, schedule, square, tmp_path, chunk_size=3,
-            policy=policy, chaos=ChaosInjector(seed=11, fail_rate=0.3),
-        )
-
-    # chunk 3 over 48 elements on 2 workers: three waves of four chunks
-    # covering elements 0-35, then a guided tail wave
-    runs = {b: chaotic(b, "adaptive") for b in BACKENDS}
-    assert_parity(runs)
-    serial = runs["serial"]
-    assert serial["counters"]["adapt_waves"] == 4
-    planned = serial["counters"]["chunks_planned"]
-    assert serial["work"] == [("loop", k) for k in range(planned)]
-    assert sorted(serial["journal"]) == list(range(planned))
-    assert serial["checkpoints"] == list(range(planned))
-    # chunks 0-11 are the static plan's chunks 0-11, so they draw the
-    # same chaos streams; a wave-local index would replay wave one's
-    # faults in every later wave
-    static = chaotic("serial", "static")
-    assert [r for r in serial["ledger"] if r[0] < 36] == [
-        r for r in static["ledger"] if r[0] < 36
-    ]
-    assert serial["ledger"]
-
-
 class TestReduce:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_counts_and_journals_per_chunk(self, backend, tmp_path):
@@ -256,8 +214,6 @@ def test_one_warm_pool_count_per_call(schedule):
         backend="process", reuse=True, metrics=reg,
     )
     assert out == [x * x for x in range(64)]
-    if schedule == "adaptive":
-        assert reg.total("adapt_waves") > 1
     assert reg.total("pool_warm_hits") + reg.total("pool_warm_misses") == 1
 
 

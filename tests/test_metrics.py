@@ -314,8 +314,6 @@ class TestConservation:
         assert planned > 0
         assert completed - deduped == planned
         assert reg.total("elements_delivered") == 32
-        if schedule == "adaptive":
-            assert reg.total("adapt_waves") > 0
 
     def test_hedged_run_conserves_chunks(self, tmp_path):
         body = functools.partial(
@@ -572,7 +570,7 @@ class TestDashboard:
         assert "eta" not in line
 
     def test_render_line_unknown_total(self):
-        # total_chunks=None (adaptive schedule before its first plan):
+        # total_chunks=None (no plan known to the renderer):
         # progress renders as a bare count, rate appears, eta cannot
         reg = MetricsRegistry()
         reg.inc("chunks_completed", 7, stage="loop")

@@ -12,12 +12,14 @@ from repro.runtime import (
     EndOfStream,
     Item,
     MasterWorker,
+    MetricsRegistry,
     Pipeline,
     PipelineError,
     configured_parallel_for,
     join_all,
     parallel_for,
     parallel_reduce,
+    plan_guided,
     spawn,
 )
 
@@ -465,6 +467,24 @@ class TestParallelFor:
             {"NumWorkers@loop": 3, "ChunkSize@loop": 2, "Schedule@loop": "static"},
         )
         assert out == [-x for x in range(10)]
+
+    def test_configured_adaptive_runs_as_guided(self):
+        # a tuning file naming Schedule@loop=adaptive still loads and
+        # runs, on exactly guided's descriptor plan
+        planned = {}
+        for schedule in ("guided", "adaptive"):
+            reg = MetricsRegistry()
+            out = configured_parallel_for(
+                range(50),
+                lambda x: x * 7,
+                {"NumWorkers@loop": 3, "ChunkSize@loop": 2,
+                 "Schedule@loop": schedule},
+                metrics=reg,
+            )
+            assert out == [x * 7 for x in range(50)]
+            planned[schedule] = reg.total("chunks_planned")
+        assert planned["adaptive"] == planned["guided"]
+        assert planned["guided"] == len(plan_guided(50, 2, 3))
 
     @settings(max_examples=20, deadline=None)
     @given(
