@@ -85,7 +85,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.runtime.chaos import ChaosInjector
 from repro.runtime.faults import CancellationToken, FaultPolicy
-from repro.runtime.metrics import MetricsRegistry, count_chunk_counters
+from repro.runtime.metrics import MetricsRegistry, StageSeries
 from repro.runtime.profiler import SamplingProfiler
 from repro.runtime.trace import TraceCollector
 
@@ -661,56 +661,76 @@ def _run_map_chunk(
     metrics: MetricsRegistry | None = None,
     cancel: CancellationToken | None = None,
 ) -> tuple[list[Any], list, dict[str, int], bool, bool]:
-    """(values, records, counters, failed, aborted) for one map chunk."""
+    """(values, records, counters, failed, aborted) for one map chunk.
+
+    One loop per feature set, so the plain loop pays nothing per element
+    for a policy or a trace.  The element counters are derived once per
+    chunk from the values and the records, not counted per element.
+    """
     lo, hi = bounds
     values: list[Any] = []
     records: list = []
-    counters = {
-        "delivered": 0, "retried": 0, "skipped": 0,
-        "fallbacks": 0, "failed": 0,
-    }
-    for i in range(lo, hi):
-        if should_stop():
-            return values, records, counters, False, True
-        if policy is None:
-            started = time.monotonic() if trace is not None else 0.0
-            try:
-                values.append(fn(vals[i]))
-                counters["delivered"] += 1
-                if trace is not None:
-                    trace.add("execute", stage, i, started, attempt=1)
-            except BaseException as exc:
-                if trace is not None:
-                    trace.add(
-                        "execute", stage, i, started,
-                        attempt=1, error=repr(exc),
-                    )
-                records.append((i, exc, 1, "failed"))
-                counters["failed"] += 1
-                return values, records, counters, True, False
-        else:
-            outcome = policy.execute(
-                fn, vals[i], cancel=cancel, trace=trace, stage=stage, seq=i,
-                metrics=metrics,
-            )
-            counters["retried"] += outcome.retried
-            if outcome.error is not None:
-                records.append((
-                    i, outcome.error, outcome.attempts, outcome.action,
-                ))
-            if outcome.action == "failed":
-                counters["failed"] += 1
-                return values, records, counters, True, False
-            if outcome.action == "skipped":
-                counters["skipped"] += 1
-            elif outcome.action == "fallback":
-                counters["fallbacks"] += 1
-                counters["delivered"] += 1
-            else:
-                counters["delivered"] += 1
+    append = values.append
+    failed = aborted = False
+    retried = 0
+    if policy is not None:
+        execute = policy.execute
+        for i in range(lo, hi):
+            if should_stop():
+                aborted = True
+                break
+            outcome = execute(fn, vals[i], cancel, trace, stage, i, metrics)
+            if outcome.attempts != 1 or outcome.error is not None:
+                retried += outcome.attempts - 1
+                if outcome.error is not None:
+                    records.append((
+                        i, outcome.error, outcome.attempts, outcome.action,
+                    ))
+                if outcome.action == "failed":
+                    failed = True
+                    break
             # skip degrades to fallback in a map context: slot kept
-            values.append(outcome.value)
-    return values, records, counters, False, False
+            append(outcome.value)
+    elif trace is None:
+        for i in range(lo, hi):
+            if should_stop():
+                aborted = True
+                break
+            try:
+                append(fn(vals[i]))
+            except BaseException as exc:
+                records.append((i, exc, 1, "failed"))
+                failed = True
+                break
+    else:
+        record = trace.record
+        for i in range(lo, hi):
+            if should_stop():
+                aborted = True
+                break
+            started = time.monotonic()
+            try:
+                append(fn(vals[i]))
+            except BaseException as exc:
+                record("execute", stage, i, started, None, 1, repr(exc))
+                records.append((i, exc, 1, "failed"))
+                failed = True
+                break
+            record("execute", stage, i, started, None, 1)
+    skipped = fallbacks = 0
+    for _seq, _error, _attempts, action in records:
+        if action == "skipped":
+            skipped += 1
+        elif action == "fallback":
+            fallbacks += 1
+    counters = {
+        "delivered": len(values) - skipped,
+        "retried": retried,
+        "skipped": skipped,
+        "fallbacks": fallbacks,
+        "failed": int(failed),
+    }
+    return values, records, counters, failed, aborted
 
 
 def _run_reduce_chunk(
@@ -828,7 +848,7 @@ def deliver_chunk(
     label: str,
     journal: Any = None,
     trace: TraceCollector | None = None,
-    metrics: MetricsRegistry | None = None,
+    series: StageSeries | None = None,
     profiler: SamplingProfiler | None = None,
 ) -> None:
     """Account one delivered chunk: the delivery step of every executor.
@@ -838,16 +858,15 @@ def deliver_chunk(
     so each chunk is accounted exactly once: ``chunks_completed``, its
     element counters and worker-side metric delta, its latency, its
     profile, and, for a successful chunk, the journal record and its
-    ``checkpoint`` instant.
+    ``checkpoint`` instant.  ``series`` is the run's metric series,
+    bound once per run by the executor.
     """
-    if metrics is not None:
-        metrics.inc("chunks_completed", stage=label)
-        count_chunk_counters(metrics, label, chunk.counters)
-        metrics.absorb(chunk.metrics)
+    if series is not None:
+        series.inc("chunks_completed")
+        series.count_chunk(chunk.counters)
+        series.registry.absorb(chunk.metrics)
         if latency is not None:
-            metrics.histogram(
-                "chunk_latency_seconds", stage=label
-            ).observe(latency)
+            series.observe("chunk_latency_seconds", latency)
     if profiler is not None:
         profiler.absorb(chunk.profile)
     if journal is not None and not chunk.failed:
@@ -1549,6 +1568,7 @@ def run_process_chunks(
             else None
         )
 
+    series = StageSeries(metrics, label) if metrics is not None else None
     delivered: dict[int, ChunkResult] = {}
     fatal: list[str] = []
     recovery: list[RecoveryEvent] = []
@@ -1623,8 +1643,8 @@ def run_process_chunks(
 
     def note_recovery(event: RecoveryEvent) -> None:
         recovery.append(event)
-        if metrics is not None:
-            metrics.inc(_RECOVERY_METRICS[event.kind], stage=label)
+        if series is not None:
+            series.inc(_RECOVERY_METRICS[event.kind])
 
     def absorb(message: tuple) -> None:
         nonlocal failed_seen
@@ -1659,9 +1679,9 @@ def run_process_chunks(
                 # whole (values, counters, chaos deltas, spans, metric
                 # deltas, samples) keeps parent-side accounting
                 # exactly-once: completed - deduped = n_chunks
-                if metrics is not None:
-                    metrics.inc("chunks_completed", stage=label)
-                    metrics.inc("chunks_deduped", stage=label)
+                if series is not None:
+                    series.inc("chunks_completed")
+                    series.inc("chunks_deduped")
                 return
             delivered[k] = chunk
             if chunk.failed:
@@ -1676,20 +1696,20 @@ def run_process_chunks(
                 chunk_latency[k] = latency
             deliver_chunk(
                 chunk, bounds[k], latency, label=label, journal=checkpoint,
-                trace=trace, metrics=metrics, profiler=profiler,
+                trace=trace, series=series, profiler=profiler,
             )
         elif tag == "claim":
             _tag, uid, k, att, _gen = message
             inflight.setdefault(k, set()).add(uid)
             claim_time[k] = time.monotonic()
             attempts[k] = max(attempts.get(k, 0), att)
-            if metrics is not None:
-                metrics.inc("chunks_dispatched", stage=label)
+            if series is not None:
+                series.inc("chunks_dispatched")
         elif tag == "chaos_kill":
             # a worker announcing its own seeded SIGKILL; the death
             # itself surfaces via handle_death as usual
-            if metrics is not None:
-                metrics.inc("chaos_kills", stage=label)
+            if series is not None:
+                series.inc("chaos_kills")
         elif tag == "done":
             done_uids.add(message[1])
         else:

@@ -107,7 +107,7 @@ class CancellationToken:
         return self._event.wait(timeout)
 
 
-@dataclass
+@dataclass(slots=True)
 class Outcome:
     """What became of one element under a :class:`FaultPolicy`."""
 
@@ -179,14 +179,14 @@ class FaultPolicy:
         Cancellation is the one exception that propagates: a fired token
         aborts retries (and their backoff sleeps) immediately.
 
-        ``trace`` is duck-typed (anything with a
-        ``TraceCollector``-shaped ``add``) so this module stays
-        dependency-free: each attempt becomes an ``execute`` (first) or
-        ``retry`` (later) span — carrying ``error=repr(exc)`` on failure,
-        the cross-reference to its :class:`ErrorRecord` — a missed
-        deadline a ``timeout`` span, and each inter-attempt sleep a
-        ``backoff`` span.  ``None`` (the default) costs one ``is None``
-        check per attempt.
+        ``trace`` is duck-typed (anything with a ``TraceCollector``-shaped
+        ``record`` and ``add``) so this module stays dependency-free:
+        each attempt becomes an ``execute`` (first) or ``retry`` (later)
+        span — carrying ``error=repr(exc)`` on failure, the
+        cross-reference to its :class:`ErrorRecord` — a missed deadline
+        a ``timeout`` span, and each inter-attempt sleep a ``backoff``
+        span.  ``None`` (the default) costs one ``is None`` check per
+        attempt.
 
         ``metrics`` is likewise duck-typed (a
         ``MetricsRegistry``-shaped ``inc``): every policy *fire* — a
@@ -194,13 +194,92 @@ class FaultPolicy:
         counter, so aggregate fault pressure is visible without reading
         spans.
 
-        The backoff schedule is built at the first retry, so an element
-        that succeeds on its first attempt never pays for it.
+        The first attempt is the fast path: a success within the
+        deadline allocates only its :class:`Outcome` and reads the clock
+        only when a trace or ``item_timeout`` needs it.  A failed first
+        attempt hands over to :meth:`_recover`, which builds the backoff
+        schedule, so an element that succeeds on its first attempt
+        never pays for it.
         """
+        if cancel is not None:
+            cancel.raise_if_cancelled()
+        deadline = self.item_timeout
+        if trace is None and not deadline:
+            # nothing needs the clock: the cheapest first attempt
+            try:
+                return Outcome("delivered", fn(value), 1, None)
+            except CancelledError:
+                raise
+            except BaseException as exc:
+                return self._recover(
+                    fn, value, exc, 0.0, cancel, trace, stage, seq, metrics
+                )
+        started = time.monotonic()
+        try:
+            result = fn(value)
+            ended = time.monotonic()
+            if deadline and ended - started > deadline:
+                raise _missed(ended - started, deadline)
+        except CancelledError:
+            raise
+        except BaseException as exc:
+            return self._recover(
+                fn, value, exc, started, cancel, trace, stage, seq, metrics
+            )
+        if trace is not None:
+            trace.record("execute", stage, seq, started, ended, 1)
+        return Outcome("delivered", result, 1, None)
+
+    def _recover(
+        self,
+        fn: Callable[[Any], Any],
+        value: Any,
+        exc: BaseException,
+        started: float,
+        cancel: CancellationToken | None,
+        trace: Any,
+        stage: str,
+        seq: int,
+        metrics: Any,
+    ) -> Outcome:
+        """Everything after a failed first attempt: its span and
+        counters, then backoff and retries while the budget lasts, then
+        the ``on_error`` disposition."""
         schedule: list[float] | None = None
-        attempts = 0
-        last: BaseException | None = None
+        attempts = 1
         while True:
+            timed_out = isinstance(exc, ItemTimeoutError)
+            if metrics is not None:
+                if timed_out:
+                    metrics.inc("policy_timeouts", stage=stage)
+                if attempts > 1:
+                    metrics.inc("policy_retries", stage=stage)
+            if trace is not None:
+                if timed_out:
+                    kind = "timeout"
+                else:
+                    kind = "execute" if attempts == 1 else "retry"
+                trace.record(
+                    kind, stage, seq, started, None, attempts, repr(exc)
+                )
+            if attempts > self.retries:
+                break
+            if schedule is None:
+                schedule = self.delays()
+            delay = schedule[attempts - 1]
+            slept = time.monotonic()
+            if cancel is not None:
+                if cancel.wait(delay):
+                    cancel.raise_if_cancelled()
+            elif delay > 0:
+                time.sleep(delay)
+            if metrics is not None:
+                metrics.inc("policy_backoffs", stage=stage)
+            if trace is not None:
+                trace.add(
+                    "backoff", stage, seq, slept, attempt=attempts,
+                    delay=delay,
+                )
             if cancel is not None:
                 cancel.raise_if_cancelled()
             attempts += 1
@@ -209,70 +288,28 @@ class FaultPolicy:
                 result = fn(value)
                 elapsed = time.monotonic() - started
                 if self.item_timeout and elapsed > self.item_timeout:
-                    raise ItemTimeoutError(
-                        f"element took {elapsed:.3f}s, deadline "
-                        f"{self.item_timeout:.3f}s"
-                    )
-                if metrics is not None and attempts > 1:
-                    metrics.inc("policy_retries", stage=stage)
-                if trace is not None:
-                    trace.add(
-                        "execute" if attempts == 1 else "retry",
-                        stage,
-                        seq,
-                        started,
-                        attempt=attempts,
-                    )
-                return Outcome("delivered", result, attempts, None)
+                    raise _missed(elapsed, self.item_timeout)
             except CancelledError:
                 raise
-            except BaseException as exc:
-                last = exc
-                if metrics is not None:
-                    if isinstance(exc, ItemTimeoutError):
-                        metrics.inc("policy_timeouts", stage=stage)
-                    if attempts > 1:
-                        metrics.inc("policy_retries", stage=stage)
-                if trace is not None:
-                    if isinstance(exc, ItemTimeoutError):
-                        kind = "timeout"
-                    else:
-                        kind = "execute" if attempts == 1 else "retry"
-                    trace.add(
-                        kind,
-                        stage,
-                        seq,
-                        started,
-                        attempt=attempts,
-                        error=repr(exc),
-                    )
-            if attempts <= self.retries:
-                if schedule is None:
-                    schedule = self.delays()
-                delay = schedule[attempts - 1]
-                slept = time.monotonic()
-                if cancel is not None:
-                    if cancel.wait(delay):
-                        cancel.raise_if_cancelled()
-                elif delay > 0:
-                    time.sleep(delay)
-                if metrics is not None:
-                    metrics.inc("policy_backoffs", stage=stage)
-                if trace is not None:
-                    trace.add(
-                        "backoff",
-                        stage,
-                        seq,
-                        slept,
-                        attempt=attempts,
-                        delay=delay,
-                    )
+            except BaseException as retry_exc:
+                exc = retry_exc
                 continue
-            if self.on_error == "skip":
-                return Outcome("skipped", None, attempts, last)
-            if self.on_error == "fallback":
-                return Outcome("fallback", self.fallback, attempts, last)
-            return Outcome("failed", None, attempts, last)
+            if metrics is not None:
+                metrics.inc("policy_retries", stage=stage)
+            if trace is not None:
+                trace.record("retry", stage, seq, started, None, attempts)
+            return Outcome("delivered", result, attempts, None)
+        if self.on_error == "skip":
+            return Outcome("skipped", None, attempts, exc)
+        if self.on_error == "fallback":
+            return Outcome("fallback", self.fallback, attempts, exc)
+        return Outcome("failed", None, attempts, exc)
+
+
+def _missed(elapsed: float, deadline: float) -> ItemTimeoutError:
+    return ItemTimeoutError(
+        f"element took {elapsed:.3f}s, deadline {deadline:.3f}s"
+    )
 
 
 @dataclass

@@ -42,6 +42,7 @@ runtime module can use it without cycles.
 
 from __future__ import annotations
 
+import bisect
 import re
 import threading
 import time
@@ -133,14 +134,12 @@ class Histogram:
         self._lock = lock
 
     def observe(self, v: float) -> None:
+        # the first edge >= v; past the last edge is the +Inf bucket
+        i = bisect.bisect_left(self.edges, v)
         with self._lock:
             self.sum += v
             self.count += 1
-            for i, edge in enumerate(self.edges):
-                if v <= edge:
-                    self.buckets[i] += 1
-                    return
-            self.buckets[-1] += 1
+            self.buckets[i] += 1
 
 
 class MetricsRegistry:
@@ -556,14 +555,44 @@ def count_outcome(
         registry.inc("elements_delivered", stage=stage)
 
 
-def count_chunk_counters(
-    registry: "MetricsRegistry", stage: str, counters: dict[str, int]
-) -> None:
-    """Account a chunk's ``counters`` dict (every executor's delivery)."""
-    for key, value in counters.items():
-        name = _COUNTER_TO_METRIC.get(key)
-        if name and value:
-            registry.inc(name, value, stage=stage)
+class StageSeries:
+    """One run's ``stage``-labelled series, each looked up once.
+
+    The chunk executors count per chunk, and a registry lookup (a label
+    sort and a name check) costs more than the update itself.  Each
+    series is bound on its first non-zero use, so no zero-valued series
+    appears, and later updates go straight to the bound object.
+    """
+
+    __slots__ = ("registry", "stage", "_bound")
+
+    def __init__(self, registry: "MetricsRegistry", stage: str) -> None:
+        self.registry = registry
+        self.stage = stage
+        self._bound: dict[str, Any] = {}
+
+    def inc(self, name: str, n: int | float = 1) -> None:
+        if n:
+            counter = self._bound.get(name)
+            if counter is None:
+                counter = self._bound[name] = self.registry.counter(
+                    name, stage=self.stage
+                )
+            counter.inc(n)
+
+    def observe(self, name: str, value: float) -> None:
+        histogram = self._bound.get(name)
+        if histogram is None:
+            histogram = self._bound[name] = self.registry.histogram(
+                name, stage=self.stage
+            )
+        histogram.observe(value)
+
+    def count_chunk(self, counters: dict[str, int]) -> None:
+        """Account a chunk's ``counters`` dict (every executor's delivery)."""
+        for key, value in counters.items():
+            if value:
+                self.inc(_COUNTER_TO_METRIC[key], value)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ calling thread, ``thread`` on claiming threads, ``process`` on a
 A body that cannot cross the process boundary is detected up front and
 downgraded to the thread backend with a recorded
 :class:`~repro.runtime.backend.BackendEvent` — never a crash.  The one
-specialised road is the serial loop with every feature off.
+specialised road is the serial loop with every feature off; a serial
+run that nothing observes per chunk runs its plan as one chunk.
 
 Workers are supervised: once a chunk fails — or a shared
 :class:`~repro.runtime.faults.CancellationToken` fires — the executors
@@ -80,7 +81,11 @@ from repro.runtime.faults import (
     ErrorRecord,
     FaultPolicy,
 )
-from repro.runtime.metrics import MetricsRegistry, resolve_registry
+from repro.runtime.metrics import (
+    MetricsRegistry,
+    StageSeries,
+    resolve_registry,
+)
 from repro.runtime.profiler import SamplingProfiler, resolve_profiler
 from repro.runtime.shm import ShmInput, ShmOutput, normalize_transport
 from repro.runtime.trace import TraceCollector, resolve_collector
@@ -236,12 +241,19 @@ def _run_in_process(
     """
     todo = [k for k in range(len(bounds)) if k not in skip]
     width = max(1, min(width, len(todo))) if threads else 1
+    series = (
+        StageSeries(metrics, kernel.label) if metrics is not None else None
+    )
     delivered: dict[int, ChunkResult] = {}
     errors: list[BaseException] = []
     halt = threading.Event()
+    # checked before every element: without a token, the bare flag read
+    if cancel is None:
+        stopped = halt.is_set
+    else:
 
-    def stopped() -> bool:
-        return halt.is_set() or (cancel is not None and cancel.cancelled)
+        def stopped() -> bool:
+            return halt.is_set() or cancel.cancelled
 
     def work(claim: Callable[[], int | None]) -> None:
         try:
@@ -249,8 +261,8 @@ def _run_in_process(
                 k = claim()
                 if k is None:
                     return
-                if metrics is not None:
-                    metrics.inc("chunks_dispatched", stage=kernel.label)
+                if series is not None:
+                    series.inc("chunks_dispatched")
                 started = time.monotonic()
                 chunk = run_chunk(
                     kernel, k, bounds[k], vals, stopped, cancel=cancel,
@@ -264,7 +276,7 @@ def _run_in_process(
                 deliver_chunk(
                     chunk, bounds[k], time.monotonic() - started,
                     label=kernel.label, journal=journal, trace=trace,
-                    metrics=metrics, profiler=profiler,
+                    series=series, profiler=profiler,
                 )
         except BaseException as exc:
             errors.append(exc)
@@ -331,7 +343,10 @@ def _engine(
 
     ``backend`` names the executor (``"serial"`` for every sequential
     run).  Returns the results in element order, or — for a reduction
-    (``reduce_op`` set) — ``{chunk start: folded partial}``.
+    (``reduce_op`` set) — ``{chunk start: folded partial}``.  A serial
+    run with no cancel token, chaos, metrics, profiler or checkpoint
+    (and, for a reduction, no trace) plans one chunk: nothing it
+    records depends on the chunk size.
     """
     if (
         backend == "serial" and reduce_op is None and policy is None
@@ -354,6 +369,17 @@ def _engine(
                 raise
         return out
 
+    if (
+        backend == "serial" and cancel is None and chaos is None
+        and metrics is None and profiler is None and checkpoint is None
+        and (reduce_op is None or trace is None)
+    ):
+        # Nothing observes this run's chunk boundaries, so it runs as one
+        # chunk.  A map's spans, ledger and values are per element, the
+        # same at any chunk size; a fold's span is per chunk, so a traced
+        # fold keeps its plan.  A cancelled run keeps the ledger of the
+        # chunks it delivered, so a cancellable run keeps its plan too.
+        chunk_size = max(1, len(vals))
     n = len(vals)
     results: list[Any] | dict[int, Any] = (
         {} if reduce_op is not None else [None] * n
@@ -626,12 +652,6 @@ def parallel_reduce(
     trace = resolve_collector(trace)
     metrics = resolve_registry(metrics)
     profiler = resolve_profiler(profiler)
-    if effective == "serial" and all(
-        x is None for x in (cancel, trace, metrics, profiler, checkpoint)
-    ):
-        # nothing observes or cancels this fold between chunks, so one
-        # chunk is the sequential loop without the per-chunk overhead
-        chunk_size = max(1, len(vals))
     partials = _engine(
         vals, body, label="reduce", backend=effective, workers=workers,
         chunk_size=chunk_size, reduce_op=op, cancel=cancel, events=events,

@@ -739,7 +739,9 @@ class Pipeline:
                                 return
                             seq, value = item
                             if trace is not None:
-                                trace.add("queue_wait", el.name, seq, wait_start)
+                                trace.record(
+                                    "queue_wait", el.name, seq, wait_start
+                                )
                             if metrics is not None:
                                 # live queue-depth / in-flight gauges: this is
                                 # what the dashboard renders as utilization

@@ -22,7 +22,10 @@ becomes a sequence of typed :class:`Span` records —
 
 Spans are collected into a bounded, thread-safe :class:`TraceCollector`
 ring buffer.  Overflow is *accounted*, never silent: the oldest span is
-evicted and ``dropped`` increments.  Worker processes collect into their
+evicted and ``dropped`` increments.  The ring holds compact records —
+flat tuples, no :class:`Span` and no detail dict — written without a
+lock; :class:`Span` objects are built only when the ring is read.
+Worker processes collect into their
 own collector (rebuilt from :meth:`TraceCollector.spec`) and ship span
 dictionaries back per chunk, mirroring the error-ledger parity path of
 :mod:`repro.runtime.backend` — a traced run produces the same span
@@ -137,12 +140,34 @@ class Span:
         )
 
 
+def _span(record: tuple) -> Span:
+    """The :class:`Span` a compact ring record stands for."""
+    kind, stage, seq, start, end, worker, attempt, error, extra = record
+    detail: dict[str, Any] = {}
+    if attempt is not None:
+        detail["attempt"] = attempt
+    if error is not None:
+        detail["error"] = error
+    if extra:
+        detail.update(extra)
+    return Span(kind, stage, seq, start, end, worker, detail)
+
+
 class TraceCollector:
     """A bounded, thread-safe span ring buffer for one run.
 
     The ring bound makes tracing safe on unbounded streams: memory is
     ``O(capacity)`` and overflow increments :attr:`dropped` instead of
     growing or silently forgetting that truncation happened.
+
+    The ring holds compact records, ``(kind, stage, seq, start, end,
+    worker, attempt, error, detail)`` tuples, appended without a lock
+    (a deque append is atomic).  The thread name is looked up once per
+    thread.  Eviction is deferred: the ring may run a quarter (at least
+    16 records) past ``capacity`` before a writer trims it, and readers
+    trim first, so eviction happens under the lock only and
+    :attr:`dropped` stays exact however many threads write.
+    :class:`Span` objects are built only when the ring is read.
     """
 
     def __init__(
@@ -153,14 +178,12 @@ class TraceCollector:
         if capacity < 1:
             raise ValueError("trace capacity must be >= 1")
         self.capacity = capacity
-        self._spans: collections.deque[Span] = collections.deque(
-            maxlen=capacity
-        )
+        self._ring: collections.deque[tuple] = collections.deque()
+        self._limit = capacity + max(16, capacity // 4)
+        #: taken by trims and readers, never by a plain append
         self._lock = threading.Lock()
-        self.dropped = 0
-        #: label stamped on spans when the recording thread name is not
-        #: meaningful (process-pool workers are all "MainThread")
-        self.worker_label: str | None = None
+        self._dropped = 0
+        self.worker_label = None  # the setter also starts the name cache
         #: clock anchor ``(monotonic, epoch)`` sampled once at creation:
         #: span stamps are monotonic, so this single pairing is what maps
         #: them to wall-clock time downstream (summaries, Perfetto export,
@@ -184,6 +207,59 @@ class TraceCollector:
     def now() -> float:
         return time.monotonic()
 
+    @property
+    def worker_label(self) -> str | None:
+        """Label stamped on spans when the recording thread name is not
+        meaningful (process-pool workers are all "MainThread")."""
+        return self._worker_label
+
+    @worker_label.setter
+    def worker_label(self, label: str | None) -> None:
+        self._worker_label = label
+        self._names = threading.local()  # every thread re-resolves
+
+    def _worker(self) -> str:
+        """This thread's worker label, looked up once per thread."""
+        try:
+            return self._names.worker
+        except AttributeError:
+            worker = self._names.worker = (
+                self._worker_label or threading.current_thread().name
+            )
+            return worker
+
+    def record(
+        self,
+        kind: str,
+        stage: str,
+        seq: int,
+        start: float,
+        end: float | None = None,
+        attempt: int | None = None,
+        error: str | None = None,
+    ) -> None:
+        """Record one span as a compact record; ``end`` defaults to now.
+
+        The hot-path twin of :meth:`add`: the per-element callers (the
+        chunk kernel, :meth:`FaultPolicy.execute
+        <repro.runtime.faults.FaultPolicy.execute>`, a pipeline stage's
+        ``queue_wait``) record through it.  ``attempt`` and ``error``
+        become the span's ``detail`` keys when it is read.
+        """
+        try:  # _worker(), inlined on the hot path
+            worker = self._names.worker
+        except AttributeError:
+            worker = self._worker()
+        ring = self._ring
+        ring.append((
+            kind, stage, seq, start,
+            time.monotonic() if end is None else end,
+            worker, attempt, error, None,
+        ))
+        if len(ring) > self._limit:
+            with self._lock:
+                self._trim()
+
     def add(
         self,
         kind: str,
@@ -201,14 +277,13 @@ class TraceCollector:
             seq=seq,
             start=start,
             end=time.monotonic() if end is None else end,
-            worker=(
-                worker
-                or self.worker_label
-                or threading.current_thread().name
-            ),
+            worker=worker or self._worker(),
             detail=detail,
         )
-        self._append(span)
+        self._push([(
+            kind, stage, seq, start, span.end, span.worker, None, None,
+            detail,
+        )])
         return span
 
     def instant(self, kind: str, stage: str, seq: int, **detail: Any) -> Span:
@@ -216,27 +291,66 @@ class TraceCollector:
         t = time.monotonic()
         return self.add(kind, stage, seq, t, t, **detail)
 
-    def _append(self, span: Span) -> None:
-        with self._lock:
-            if len(self._spans) == self.capacity:
-                self.dropped += 1  # deque evicts the oldest; account for it
-            self._spans.append(span)
+    def _push(self, records: Iterable[tuple]) -> None:
+        ring = self._ring
+        ring.extend(records)
+        if len(ring) > self._limit:
+            with self._lock:
+                self._trim()
+
+    def _trim(self) -> None:
+        """Evict the oldest records past ``capacity`` (lock held).
+
+        Only lock holders remove records, and always from the left, so
+        every eviction is counted exactly once.
+        """
+        ring = self._ring
+        while len(ring) > self.capacity:
+            ring.popleft()
+            self._dropped += 1
+
+    def _take(self, remove: bool) -> list[tuple]:
+        """The live records, oldest first, trimmed to capacity (lock
+        held); ``remove`` also takes them out of the ring."""
+        ring = self._ring
+        while True:
+            try:
+                records = list(ring)
+                break
+            except RuntimeError:  # a lock-free append raced the copy
+                continue
+        excess = len(records) - self.capacity
+        for _ in range(len(records) if remove else excess):
+            ring.popleft()  # only lock holders pop: these are `records`
+        if excess > 0:
+            self._dropped += excess
+            records = records[excess:]
+        return records
 
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
+    @property
+    def dropped(self) -> int:
+        """Spans evicted from the ring (or dropped by a worker's ring)."""
+        with self._lock:
+            self._trim()
+            return self._dropped
+
     def __len__(self) -> int:
         with self._lock:
-            return len(self._spans)
+            self._trim()
+            return min(len(self._ring), self.capacity)
 
     def spans(self) -> list[Span]:
         with self._lock:
-            return list(self._spans)
+            records = self._take(remove=False)
+        return [_span(r) for r in records]
 
     def clear(self) -> None:
         with self._lock:
-            self._spans.clear()
-            self.dropped = 0
+            self._ring.clear()
+            self._dropped = 0
 
     def per_stage(self) -> dict[str, list[Span]]:
         out: dict[str, list[Span]] = {}
@@ -277,21 +391,25 @@ class TraceCollector:
         chunk so span payloads stay proportional to chunk size.
         """
         with self._lock:
-            out = [s.as_dict() for s in self._spans]
-            dropped = self.dropped
-            self._spans.clear()
-            self.dropped = 0
-        return out, dropped
+            records = self._take(remove=True)
+            dropped, self._dropped = self._dropped, 0
+        return [_span(r).as_dict() for r in records], dropped
 
     def absorb(
         self, span_dicts: Iterable[dict[str, Any]], dropped: int = 0
     ) -> None:
         """Fold a worker's drained spans into this (parent) collector."""
-        for d in span_dicts:
-            self._append(Span.from_dict(d))
+        self._push(
+            (
+                d["kind"], d["stage"], int(d["seq"]), float(d["start"]),
+                float(d["end"]), str(d.get("worker", "")), None, None,
+                dict(d.get("detail") or {}),
+            )
+            for d in span_dicts
+        )
         if dropped:
             with self._lock:
-                self.dropped += dropped
+                self._dropped += dropped
 
     # ------------------------------------------------------------------
     # aggregation (the summary embedded in Pipeline.stats)

@@ -195,6 +195,91 @@ class TestReduce:
         assert reg.total("elements_delivered") == 15
 
 
+class TestOneChunkRule:
+    """A serial map nothing observes per chunk runs as one chunk."""
+
+    @staticmethod
+    def traced(chunk_size, policy, **features):
+        trace, ledger = TraceCollector(), []
+        try:
+            values = parallel_for(
+                range(N), poisoned, chunk_size=chunk_size, backend="serial",
+                policy=policy, ledger=ledger, trace=trace, **features,
+            )
+        except ValueError as exc:
+            values = repr(exc)
+        return {
+            "values": values,
+            "ledger": [(r.seq, r.attempts, repr(r.error)) for r in ledger],
+            "spans": [
+                (s.kind, s.stage, s.seq, s.worker, s.detail)
+                for s in trace.spans()
+            ],
+        }
+
+    @pytest.mark.parametrize("policy", [
+        None,
+        FaultPolicy(retries=1, backoff=0.0, on_error="fallback", fallback=-1),
+    ], ids=["fail-fast", "fallback"])
+    def test_traced_map_is_the_same_at_any_chunk_size(
+        self, policy, monkeypatch
+    ):
+        # the package re-exports the function under the module's name
+        pf = sys.modules["repro.runtime.parallel_for"]
+        chunks = []
+
+        def counted(*args, **kwargs):
+            chunks.append(args[1])
+            return run_chunk(*args, **kwargs)
+
+        run_chunk = pf.run_chunk
+        monkeypatch.setattr(pf, "run_chunk", counted)
+        one = self.traced(1, policy)
+        assert chunks == [0]  # nothing observes chunks: one chunk
+        whole = self.traced(N, policy)
+        assert one == whole
+        assert one["spans"] and one["ledger"]
+        if policy is None:
+            assert one["values"] == repr(ValueError("poison 3"))
+        else:
+            assert one["values"][3] == -1
+
+    @pytest.mark.parametrize("chunk_size", [1, 5, N])
+    def test_metrics_keep_the_planned_chunks(self, chunk_size):
+        reg = MetricsRegistry()
+        policy = FaultPolicy(
+            retries=1, backoff=0.0, on_error="fallback", fallback=-1
+        )
+        measured = self.traced(chunk_size, policy, metrics=reg)
+        assert measured == self.traced(N, policy)
+        planned = -(-N // chunk_size)
+        assert reg.total("chunks_planned") == planned
+        assert reg.total("chunks_completed") == planned
+        assert reg.total("elements_delivered") == N
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_clean_run_binds_no_zero_valued_series(backend):
+    # the executors bind each series on its first non-zero use, so a run
+    # with no fault shows no failure, skip, fallback or retry series
+    reg = MetricsRegistry()
+    out = parallel_for(
+        range(40), square, workers=WORKERS, chunk_size=5, backend=backend,
+        metrics=reg,
+    )
+    assert out == [x * x for x in range(40)]
+    snap = reg.snapshot()
+    for family in snap["metrics"]:
+        for series in family["series"]:
+            assert series.get("value", series.get("count")) > 0, family
+    names = {family["name"] for family in snap["metrics"]}
+    assert {"chunks_completed", "elements_delivered"} <= names
+    assert not names & {
+        "elements_failed", "elements_skipped", "elements_fallback",
+        "element_retries",
+    }
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_masterworker_counts_the_engine_counters(backend):
     reg = MetricsRegistry()

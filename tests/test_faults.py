@@ -123,6 +123,44 @@ class TestFaultPolicy:
         assert (out.action, out.value, out.attempts) == ("delivered", 3, 1)
 
 
+    @pytest.mark.parametrize("path", ["untimed", "traced", "deadline"])
+    @pytest.mark.parametrize("policy, fails, expected", [
+        ({}, 0, ("delivered", 10, 1, None, 0)),
+        ({"retries": 2}, 1, ("delivered", 10, 2, None, 1)),
+        (
+            {"retries": 1, "on_error": "fallback", "fallback": -1}, 9,
+            ("fallback", -1, 2, "boom 2", 1),
+        ),
+        ({"retries": 1, "on_error": "skip"}, 9, ("skipped", None, 2, "boom 2", 1)),
+        ({"retries": 1}, 9, ("failed", None, 2, "boom 2", 1)),
+    ], ids=["success", "retry-then-success", "fallback", "skip", "fail-fast"])
+    def test_outcome_fields_on_every_path(self, path, policy, fails, expected):
+        # the untimed fast path, the clocked one (trace or deadline) and
+        # the recovery loop behind them agree on every Outcome field
+        from repro.runtime.trace import TraceCollector
+
+        trace = TraceCollector() if path == "traced" else None
+        timeout = 60.0 if path == "deadline" else None
+        out = FaultPolicy(backoff=0.0, item_timeout=timeout, **policy).execute(
+            flaky(fails), 1, trace=trace, stage="s", seq=4,
+        )
+        error = None if out.error is None else str(out.error)
+        assert (out.action, out.value, out.attempts, error, out.retried) == (
+            expected
+        )
+        if trace is not None:
+            kinds = ["execute"] + ["backoff", "retry"] * out.retried
+            assert [s.kind for s in trace.spans()] == kinds
+            attempts = [s for s in trace.spans() if s.kind != "backoff"]
+            assert [s.detail["attempt"] for s in attempts] == list(
+                range(1, out.attempts + 1)
+            )
+            failed = min(fails, out.attempts)
+            assert [("error" in s.detail) for s in attempts] == (
+                [True] * failed + [False] * (out.attempts - failed)
+            )
+
+
 # ---------------------------------------------------------------------------
 # CancellationToken
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ fault-ledger cross-referencing, stall history, the Chrome export, the
 tuner's traced measure source, and the ``repro trace`` CLI."""
 
 import json
+import os
+import sys
 import threading
 import time
 
@@ -40,6 +42,21 @@ def flaky_under_three(x):
     if x < 3:
         raise ValueError(f"flaky {x}")
     return x
+
+
+#: the poisoned run of the ledger-parity test: two poison elements and
+#: one element slower than the item deadline
+LEDGER_POISON = frozenset({2, 7})
+LEDGER_SLOW = 5
+LEDGER_DEADLINE = 0.1
+
+
+def poisoned_or_slow(x):
+    if x in LEDGER_POISON:
+        raise ValueError(f"poison {x}")
+    if x == LEDGER_SLOW:
+        time.sleep(3 * LEDGER_DEADLINE)
+    return x * 2
 
 
 def spans_by_kind(spans):
@@ -112,6 +129,107 @@ class TestCollector:
         assert len(parent) == 4
         assert parent.dropped == 2
         assert all(s.worker == "loop-w0@pid1" for s in parent.spans())
+
+    def test_record_reads_back_as_a_span(self):
+        c = TraceCollector()
+        t = c.now()
+        assert c.record("retry", "B", 7, t, t + 0.1, 2, "ValueError()") is None
+        c.record("queue_wait", "B", 8, t)
+        retry, wait = c.spans()
+        assert retry == Span(
+            "retry", "B", 7, t, t + 0.1, threading.current_thread().name,
+            {"attempt": 2, "error": "ValueError()"},
+        )
+        assert wait.kind == "queue_wait" and wait.detail == {}
+        assert wait.end >= t
+
+    def test_worker_label_set_late_still_wins(self):
+        c = TraceCollector()
+        t = c.now()
+        c.record("execute", "loop", 0, t, t, 1)
+        c.worker_label = "loop-w1@pid7"
+        c.record("execute", "loop", 1, t, t, 1)
+        assert [s.worker for s in c.spans()] == [
+            threading.current_thread().name, "loop-w1@pid7",
+        ]
+
+    def test_concurrent_writers_keep_dropped_exact(self):
+        # a tiny switch interval interleaves the lock-free appends with
+        # the trims: every span is either kept or counted as dropped
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        c = TraceCollector(capacity=1000)
+        start = threading.Barrier(4)
+
+        def write(w):
+            start.wait()
+            t = c.now()
+            for i in range(2500):
+                if i % 2:
+                    c.record("execute", "A", w * 2500 + i, t, t, 1)
+                else:
+                    c.add("execute", "A", w * 2500 + i, t, t, attempt=1)
+
+        writers = [
+            threading.Thread(target=write, args=(w,)) for w in range(4)
+        ]
+        try:
+            for th in writers:
+                th.start()
+            for th in writers:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in writers)
+        spans = c.spans()
+        assert len(spans) == len(c) == 1000
+        assert c.dropped == 9000
+        assert len({s.seq for s in spans}) == 1000
+        assert c.summary()["dropped"] == 9000
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_concurrent_drain_loses_and_duplicates_nothing(self, trial):
+        # a reader draining while 4 threads write past a small ring: every
+        # span is drained exactly once or counted as dropped, even when a
+        # writer's trim and the reader's drain overlap
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        c = TraceCollector(capacity=8)
+        drained, dropped = [], []
+        done = threading.Event()
+
+        def write(w):
+            t = c.now()
+            for i in range(2500):
+                c.record("execute", "A", w * 2500 + i, t, t, 1)
+
+        def drain():
+            while not done.is_set():
+                time.sleep(0.0002)  # let the ring fill past its trim limit
+                spans, lost = c.drain()
+                drained.extend(d["seq"] for d in spans)
+                dropped.append(lost)
+
+        writers = [
+            threading.Thread(target=write, args=(w,)) for w in range(4)
+        ]
+        reader = threading.Thread(target=drain)
+        try:
+            reader.start()
+            for th in writers:
+                th.start()
+            for th in writers:
+                th.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert not any(th.is_alive() for th in writers)
+        spans, lost = c.drain()
+        drained.extend(d["seq"] for d in spans)
+        assert len(drained) == len(set(drained))
+        assert len(drained) + sum(dropped) + lost == 10000
 
     def test_summary_aggregates_and_bottleneck(self):
         c = TraceCollector()
@@ -282,6 +400,70 @@ class TestBackendParity:
         kinds = [k for (k, *_rest) in ledgers["process"]]
         assert kinds.count("retry") == 3 * 2
         assert kinds.count("backoff") == 3 * 2
+
+    def test_poisoned_ledger_spans_agree_on_every_backend(self):
+        """A poisoned run with a missed deadline reads back the same span
+        ledger from the compact records on serial, thread and process:
+        kind, seq, attempt and error repr per span, each element's spans
+        under one worker label of the backend's own form."""
+        caller = threading.current_thread().name
+        n = 12
+        ledgers = {}
+        for backend in ("serial", "thread", "process"):
+            c = TraceCollector()
+            ledger = []
+            out = parallel_for(
+                range(n), poisoned_or_slow, workers=2, chunk_size=3,
+                backend=backend, ledger=ledger, trace=c,
+                policy=FaultPolicy(
+                    retries=1, backoff=0, on_error="fallback",
+                    item_timeout=LEDGER_DEADLINE,
+                ),
+            )
+            bad = LEDGER_POISON | {LEDGER_SLOW}
+            assert out == [None if x in bad else x * 2 for x in range(n)]
+            assert [(r.seq, r.attempts) for r in ledger] == [
+                (x, 2) for x in sorted(bad)
+            ]
+            spans = c.spans()
+            # the terminal span of each bad element carries the repr of
+            # the error its ErrorRecord holds
+            errors = {r.seq: repr(r.error) for r in ledger}
+            for seq in bad:
+                last = [s for s in spans if s.seq == seq and s.kind != "backoff"]
+                assert last[-1].detail == {"attempt": 2, "error": errors[seq]}
+            workers = {}
+            for s in spans:
+                workers.setdefault(s.seq, set()).add(s.worker)
+            assert all(len(w) == 1 for w in workers.values())
+            labels = set().union(*workers.values())
+            if backend == "serial":
+                assert labels == {caller}
+            elif backend == "thread":
+                assert labels and caller not in labels
+            else:
+                assert labels and all(
+                    w.startswith("loop-w") and "@pid" in w
+                    and not w.endswith(f"@pid{os.getpid()}")
+                    for w in labels
+                )
+            ledgers[backend] = sorted(
+                (
+                    s.kind, s.seq, s.detail.get("attempt"),
+                    # a missed deadline's message carries the measured
+                    # time, so only its type is stable across runs
+                    s.detail.get("error", "").split("(")[0]
+                    if s.kind == "timeout" else s.detail.get("error"),
+                    s.detail.get("delay"),
+                )
+                for s in spans
+            )
+        assert ledgers["serial"] == ledgers["thread"] == ledgers["process"]
+        kinds = [k for k, *_rest in ledgers["serial"]]
+        assert kinds.count("timeout") == 2
+        assert kinds.count("retry") == len(LEDGER_POISON)
+        assert kinds.count("backoff") == 3
+        assert kinds.count("execute") == n - 1
 
     def test_process_spans_carry_worker_pid_labels(self):
         c = TraceCollector()
