@@ -664,10 +664,14 @@ def _run_map_chunk(
     """(values, records, counters, failed, aborted) for one map chunk.
 
     One loop per feature set, so the plain loop pays nothing per element
-    for a policy or a trace.  The element counters are derived once per
+    for a policy or a trace.  Each loop iterates the chunk's slice
+    ``vals[lo:hi]`` (one C-level unpack on a shared-memory view, not a
+    Python-level index per element); an element's run-wide index is
+    ``lo`` plus its offset.  The element counters are derived once per
     chunk from the values and the records, not counted per element.
     """
     lo, hi = bounds
+    chunk = vals[lo:hi]
     values: list[Any] = []
     records: list = []
     append = values.append
@@ -675,11 +679,11 @@ def _run_map_chunk(
     retried = 0
     if policy is not None:
         execute = policy.execute
-        for i in range(lo, hi):
+        for i, v in enumerate(chunk, lo):
             if should_stop():
                 aborted = True
                 break
-            outcome = execute(fn, vals[i], cancel, trace, stage, i, metrics)
+            outcome = execute(fn, v, cancel, trace, stage, i, metrics)
             if outcome.attempts != 1 or outcome.error is not None:
                 retried += outcome.attempts - 1
                 if outcome.error is not None:
@@ -692,25 +696,26 @@ def _run_map_chunk(
             # skip degrades to fallback in a map context: slot kept
             append(outcome.value)
     elif trace is None:
-        for i in range(lo, hi):
+        for v in chunk:
             if should_stop():
                 aborted = True
                 break
             try:
-                append(fn(vals[i]))
+                append(fn(v))
             except BaseException as exc:
-                records.append((i, exc, 1, "failed"))
+                # every element before this one appended its value
+                records.append((lo + len(values), exc, 1, "failed"))
                 failed = True
                 break
     else:
         record = trace.record
-        for i in range(lo, hi):
+        for i, v in enumerate(chunk, lo):
             if should_stop():
                 aborted = True
                 break
             started = time.monotonic()
             try:
-                append(fn(vals[i]))
+                append(fn(v))
             except BaseException as exc:
                 record("execute", stage, i, started, None, 1, repr(exc))
                 records.append((i, exc, 1, "failed"))
@@ -744,8 +749,11 @@ def _run_reduce_chunk(
 ) -> tuple[list[Any], list, dict[str, int], bool]:
     """Fold one chunk from its first element (init enters parent-side).
 
-    Traced at chunk granularity (one ``execute`` span per fold): the
-    per-element map hooks would distort a reduction's tight loop.
+    A strict left fold over the chunk's slice ``vals[lo:hi]``: the first
+    element seeds it, so a one-chunk float fold onto a neutral ``init``
+    is bit-identical to the sequential loop.  Traced at chunk granularity (one ``execute`` span
+    per fold): the per-element map hooks would distort a reduction's
+    tight loop.
     """
     lo, hi = bounds
     counters = {
@@ -754,9 +762,10 @@ def _run_reduce_chunk(
     }
     started = time.monotonic()
     try:
-        acc = fn(vals[lo])
-        for i in range(lo + 1, hi):
-            acc = reduce_op(acc, fn(vals[i]))
+        chunk = iter(vals[lo:hi])
+        acc = fn(next(chunk))
+        for v in chunk:
+            acc = reduce_op(acc, fn(v))
         counters["delivered"] = hi - lo
         if trace is not None:
             trace.add(
@@ -1112,31 +1121,29 @@ def _worker_main(
     """Cold pool worker entry point (module-level: spawn-safe)."""
     closers = []
     try:
-        kernel = _load_kernel(kernel_blob)
-        input_spec, out_spec, chunks = pickle.loads(call_blob)
-        vals, close_in = _resolve_input(input_spec)
-        if close_in is not None:
-            closers.append(close_in)
-        out, close_out = _resolve_output(out_spec)
-        if close_out is not None:
-            closers.append(close_out)
-    except BaseException as exc:  # pragma: no cover - probed parent-side
-        result_q.put(pickle.dumps(("fatal", wid, repr(exc), 0)))
-        result_q.put(pickle.dumps(("done", wid, 0)))
-        return
-    try:
+        try:
+            kernel = _load_kernel(kernel_blob)
+            input_spec, out_spec, chunks = pickle.loads(call_blob)
+            vals, close_in = _resolve_input(input_spec)
+            if close_in is not None:
+                closers.append(close_in)
+            out, close_out = _resolve_output(out_spec)
+            if close_out is not None:
+                closers.append(close_out)
+        except BaseException as exc:  # pragma: no cover - probed parent-side
+            result_q.put(pickle.dumps(("fatal", wid, repr(exc), 0)))
+            return
         _serve_call(
             wid, wid, 0, nworkers, schedule, counter, result_q,
             stop_flag, cancel_flag, kernel, vals, chunks, out,
             skip, assigned,
         )
     finally:
-        for close in closers:
-            try:
+        try:
+            for close in closers:
                 close()
-            except Exception:
-                pass
-        result_q.put(pickle.dumps(("done", wid, 0)))
+        finally:
+            result_q.put(pickle.dumps(("done", wid, 0)))
 
 
 def _session_worker_main(
@@ -1162,37 +1169,39 @@ def _session_worker_main(
         gen = -1
         closers = []
         try:
-            (
-                gen, digest, kernel_blob, call_blob,
-                schedule, nworkers, slot, skip, assigned,
-            ) = pickle.loads(raw)
-            if kernel_blob is not None and digest not in kernels:
-                kernels[digest] = _load_kernel(kernel_blob)
-            kernel = kernels[digest]
-            input_spec, out_spec, chunks = pickle.loads(call_blob)
-            vals, close_in = _resolve_input(input_spec)
-            if close_in is not None:
-                closers.append(close_in)
-            out, close_out = _resolve_output(out_spec)
-            if close_out is not None:
-                closers.append(close_out)
-        except BaseException as exc:
-            result_q.put(pickle.dumps(("fatal", uid, repr(exc), gen)))
-            result_q.put(pickle.dumps(("done", uid, gen)))
-            continue
-        try:
+            try:
+                (
+                    gen, digest, kernel_blob, call_blob,
+                    schedule, nworkers, slot, skip, assigned,
+                ) = pickle.loads(raw)
+                if kernel_blob is not None and digest not in kernels:
+                    kernels[digest] = _load_kernel(kernel_blob)
+                kernel = kernels[digest]
+                input_spec, out_spec, chunks = pickle.loads(call_blob)
+                vals, close_in = _resolve_input(input_spec)
+                if close_in is not None:
+                    closers.append(close_in)
+                out, close_out = _resolve_output(out_spec)
+                if close_out is not None:
+                    closers.append(close_out)
+            except BaseException as exc:
+                result_q.put(pickle.dumps(("fatal", uid, repr(exc), gen)))
+                continue
             _serve_call(
                 uid, slot, gen, nworkers, schedule, counter, result_q,
                 stop_flag, None, kernel, vals, chunks, out,
                 skip, assigned,
             )
         finally:
-            for close in closers:
-                try:
+            # segments attached before a failed setup are closed too.  A
+            # close that fails (a view of a segment still alive) ends the
+            # worker: a warm worker must not keep the mapping of an
+            # unlinked segment, unreported, for the rest of its life
+            try:
+                for close in closers:
                     close()
-                except Exception:
-                    pass
-            result_q.put(pickle.dumps(("done", uid, gen)))
+            finally:
+                result_q.put(pickle.dumps(("done", uid, gen)))
 
 
 class PoolSession:

@@ -159,6 +159,18 @@ def _resolve_plan(
     return bounds
 
 
+def _place(
+    results: list[Any] | dict[int, Any], lo: int, values: list[Any]
+) -> None:
+    """Write one chunk's values from slot ``lo`` on: one slice assignment
+    into a map's result list, the partial itself into a fold's
+    ``{chunk start: partial}``."""
+    if isinstance(results, list):
+        results[lo:lo + len(values)] = values
+    elif values:
+        results[lo] = values[0]
+
+
 def _assemble_process_run(
     run: ProcessRun,
     chunks: Sequence[tuple[int, int]],
@@ -182,9 +194,7 @@ def _assemble_process_run(
     first_error: BaseException | None = None
     for k in sorted(run.chunks):
         chunk = run.chunks[k]
-        lo, _hi = chunks[k]
-        for offset, value in enumerate(chunk.values):
-            results[lo + offset] = value
+        _place(results, chunks[k][0], chunk.values)
         for seq, error, attempts, action in chunk.records:
             if ledger is not None:
                 ledger.append(ErrorRecord(stage, seq, error, attempts))
@@ -406,8 +416,7 @@ def _engine(
                 resumed=len(done), path=str(checkpoint.path),
             )
         for lo, _hi, values in done.values():
-            for offset, value in enumerate(values):
-                results[lo + offset] = value
+            _place(results, lo, values)
     skip = frozenset(done)
 
     # ``chunks_planned`` counts the descriptors *this* run executes, the

@@ -7,7 +7,7 @@ implements the ``Transport=shm`` data plane: qualifying inputs (lists of
 plain ints or plain floats, which is also what ``bytes`` and
 ``array.array`` inputs become after ``parallel_for`` materializes them)
 are placed once in a :mod:`multiprocessing.shared_memory` block, workers
-read their chunk slices directly through a typed ``memoryview``, and
+unpack each chunk's slice straight from a typed ``memoryview``, and
 fully-successful numeric chunks are written into a preallocated output
 region — the result queue then carries only tiny control records
 (claim / chunk-complete / done), never the data.
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from array import array
 from multiprocessing import resource_tracker, shared_memory
+from operator import countOf
 from typing import Any, Sequence
 
 #: the two process-backend data planes (the ``Transport`` knob's domain)
@@ -74,25 +75,28 @@ def _typed(values: Sequence[Any]) -> tuple[str | None, Any, str | None]:
 
     The single gate both sides of the transport share: exact-type
     uniform ints (64-bit) or floats qualify, everything else states why
-    it does not.  The type scan is one C-level ``set(map(type, ...))``
-    pass: a set of exact types, so ``bool`` and float subclasses still
-    count as a second type.
+    it does not.  The type scan is one C-level count of the elements
+    whose type *is* the first element's (``countOf`` tests identity
+    before equality, and type objects compare by identity), so ``bool``
+    and float subclasses still fail the count.
     """
     if not values:
         return None, None, "empty input"
     first = type(values[0])
     if first is int:
-        if set(map(type, values)) != {int}:
-            return None, None, "mixed or non-numeric element types"
-        try:
-            return "q", array("q", values), None
-        except OverflowError:
-            return None, None, "int outside signed 64-bit range"
-    if first is float:
-        if set(map(type, values)) != {float}:
-            return None, None, "mixed or non-numeric element types"
-        return "d", array("d", values), None
-    return None, None, f"element type {first.__name__} is not flat numeric"
+        typecode = "q"
+    elif first is float:
+        typecode = "d"
+    else:
+        return None, None, (
+            f"element type {first.__name__} is not flat numeric"
+        )
+    if countOf(map(type, values), first) != len(values):
+        return None, None, "mixed or non-numeric element types"
+    try:
+        return typecode, array(typecode, values), None
+    except OverflowError:
+        return None, None, "int outside signed 64-bit range"
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -156,7 +160,15 @@ class ShmInput:
 
 
 class ShmInputView:
-    """Worker-side read-only sequence over a shared input block."""
+    """Worker-side read-only sequence over a shared input block.
+
+    A chunk kernel reads its chunk as one slice, ``view[lo:hi]``, which
+    unpacks the chunk into a list in C: the kernel then iterates plain
+    values instead of paying a Python-level ``__getitem__`` per element.
+    The slice is a copy, never a ``memoryview``, so no buffer export
+    outlives the read — an error whose traceback pins a kernel frame
+    cannot keep the segment mapped past :meth:`close`.
+    """
 
     def __init__(self, spec: dict[str, Any]) -> None:
         self._seg = _attach(spec["name"])
@@ -169,15 +181,18 @@ class ShmInputView:
     def __len__(self) -> int:
         return len(self._view)
 
-    def __getitem__(self, i: int) -> Any:
+    def __getitem__(self, i: int | slice) -> Any:
+        if isinstance(i, slice):
+            with self._view[i] as part:
+                return part.tolist()
         return self._view[i]
 
     def close(self) -> None:
-        try:
-            self._view.release()
-            self._seg.close()
-        except Exception:  # pragma: no cover - teardown is best-effort
-            pass
+        """Unmap the block.  A ``BufferError`` here means a view of the
+        block is still alive; it propagates, because the mapping would
+        otherwise stay behind, unreported, for the worker's lifetime."""
+        self._view.release()
+        self._seg.close()
 
 
 class ShmOutput:
@@ -265,7 +280,6 @@ class ShmOutputWriter:
         return True
 
     def close(self) -> None:
-        try:
-            self._seg.close()
-        except Exception:  # pragma: no cover - teardown is best-effort
-            pass
+        """Unmap the region; a ``BufferError`` propagates, as in
+        :meth:`ShmInputView.close`."""
+        self._seg.close()

@@ -25,6 +25,7 @@ from repro.runtime import (
     MasterWorker,
     parallel_for,
     parallel_reduce,
+    plan_chunks,
 )
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.profiler import SamplingProfiler
@@ -145,6 +146,56 @@ class TestEveryScheduleEveryBackend:
         }
 
 
+def fail_at(x, poison):
+    if x == poison:
+        raise ValueError(f"poison {x}")
+    return x * x
+
+
+@pytest.mark.parametrize("schedule", ["dynamic", "guided"])
+@pytest.mark.parametrize("policy", [
+    None, FaultPolicy(on_error="fallback"),
+], ids=["fail-fast", "fallback"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_mid_chunk_failure_names_its_own_element(backend, policy, schedule):
+    # kernels iterate a chunk's slice: the failing element must still be
+    # recorded under its run-wide index, not its chunk's start or offset
+    lo, hi = plan_chunks(N, CHUNK[schedule], schedule, WORKERS)[1]
+    poison = lo + (hi - lo) // 2
+    assert lo < poison < hi - 1
+    for trace in (None, TraceCollector()):
+        ledger = []
+        try:
+            values = parallel_for(
+                range(N), functools.partial(fail_at, poison=poison),
+                workers=WORKERS, chunk_size=CHUNK[schedule],
+                schedule=schedule, backend=backend, policy=policy,
+                ledger=ledger, trace=trace,
+            )
+        except ValueError as exc:
+            values = repr(exc)
+        assert [r.seq for r in ledger] == [poison]
+        if policy is None:
+            assert values == repr(ValueError(f"poison {poison}"))
+        else:
+            assert values == [
+                None if x == poison else x * x for x in range(N)
+            ]
+        if trace is None:
+            continue
+        spans = [
+            (s.seq, "error" in s.detail) for s in trace.spans()
+            if s.kind == "execute"
+        ]
+        assert [seq for seq, error in spans if error] == [poison]
+        ran = sorted(seq for seq, _error in spans)
+        assert len(set(ran)) == len(ran)
+        if policy is None:
+            assert set(range(lo, poison + 1)) <= set(ran) <= set(range(N))
+        else:
+            assert ran == list(range(N))
+
+
 class TestReduce:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_counts_and_journals_per_chunk(self, backend, tmp_path):
@@ -172,6 +223,25 @@ class TestReduce:
         assert parallel_reduce(
             xs, float, operator.add, 0.0, sequential=True
         ) == expected
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_float_fold_is_a_left_fold_per_chunk(self, backend):
+        # each chunk folds its slice from its first element, and the
+        # partials fold onto init in chunk order: bit for bit, on every
+        # backend (a trace keeps the serial run's plan)
+        rng = random.Random(5)
+        xs = [rng.uniform(-1e6, 1e6) for _ in range(100)]
+        expected = 0.5
+        for lo in range(0, len(xs), 16):
+            part = xs[lo]
+            for x in xs[lo + 1:lo + 16]:
+                part += x
+            expected += part
+        got = parallel_reduce(
+            xs, float, operator.add, 0.5, workers=WORKERS, chunk_size=16,
+            backend=backend, trace=TraceCollector(),
+        )
+        assert got.hex() == expected.hex()
 
     def test_serial_kill_then_resume_reproduces_the_total(self, tmp_path):
         path = tmp_path / "serial.rpj"

@@ -3,8 +3,11 @@ qualification with recorded downgrades, warm pool reuse across calls,
 and respawn-then-reuse after a chaos worker kill under ``Transport=shm``.
 """
 
+import functools
+import operator
 import os
 import pathlib
+import random
 import signal
 import time
 
@@ -16,9 +19,16 @@ from repro.runtime import (
     TuningError,
     parallel_for,
     parallel_reduce,
+    plan_chunks,
     shutdown_sessions,
 )
-from repro.runtime.backend import _SESSIONS, get_session, ship_blob
+from repro.runtime.backend import (
+    _SESSIONS,
+    _run_map_chunk,
+    _run_reduce_chunk,
+    get_session,
+    ship_blob,
+)
 from repro.runtime.shm import (
     ShmInput,
     ShmInputView,
@@ -49,6 +59,12 @@ def shout(s):
 def poison_13(x):
     if x == 13:
         raise ValueError("poison")
+    return x * x
+
+
+def fail_at(x, poison):
+    if x == poison:
+        raise ValueError(f"poison {x}")
     return x * x
 
 
@@ -341,6 +357,123 @@ class TestRespawnUnderShm:
                 workers=2, chunk_size=4, backend="process",
                 transport="shm", restarts=0,
             )
+
+
+# ---------------------------------------------------------------------------
+# kernels read a chunk's slice: no view of a segment outlives its chunk
+# ---------------------------------------------------------------------------
+
+class TestViewLifetime:
+    def test_slices_are_plain_values(self):
+        for values in ([5, -7, 2**62, 0], [0.25, -1.5, 3.75, 1e300]):
+            block, _reason = ShmInput.build(values)
+            view = ShmInputView(block.spec())
+            assert view[1:3] == values[1:3]
+            assert type(view[1:3]) is list
+            view.close()
+            block.dispose()
+
+    def test_kernel_error_does_not_pin_the_segment(self):
+        # a kernel error's traceback holds the failed kernel's frame; if
+        # that frame held a buffer export, close() could not unmap
+        values = [float(v) for v in range(32)]
+        block, _reason = ShmInput.build(values)
+        view = ShmInputView(block.spec())
+        body = functools.partial(fail_at, poison=21.0)
+        _v, reduce_records, _c, failed = _run_reduce_chunk(
+            0, (16, 32), body, view, operator.add,
+        )
+        assert failed and reduce_records[0][0] == 16
+        _v, map_records, _c, failed, _aborted = _run_map_chunk(
+            0, (16, 32), body, view, None, lambda: False,
+        )
+        assert failed and map_records[0][0] == 21
+        held = [r[1] for r in reduce_records + map_records]
+        assert all(e.__traceback__ is not None for e in held)
+        try:
+            view.close()
+            assert view._seg._mmap is None
+        finally:
+            block.dispose()
+
+    def test_failing_calls_keep_the_warm_pool_whole(self):
+        # a warm worker whose close failed would die after the call (or
+        # keep the segment mapped); either way the next call would see it
+        values = [float(v) for v in range(64)]
+        body = functools.partial(fail_at, poison=21.0)
+        opts = dict(
+            workers=2, chunk_size=8, backend="process", transport="shm",
+            reuse=True,
+        )
+        with pytest.raises(ValueError, match="poison 21"):
+            parallel_for(values, body, **opts)
+        session = next(iter(_SESSIONS.values()))
+        pids = set(session.pids)
+        assert len(pids) == 2
+        with pytest.raises(ValueError, match="poison 21"):
+            parallel_reduce(values, body, operator.add, 0.0, **opts)
+        assert parallel_for(values, square, **opts) == [
+            v * v for v in values
+        ]
+        assert set(session.pids) == pids
+        assert session.calls == 3
+
+
+# ---------------------------------------------------------------------------
+# element identity on the shm road
+# ---------------------------------------------------------------------------
+
+class TestElementIdentity:
+    @pytest.mark.parametrize("schedule", ["dynamic", "guided"])
+    @pytest.mark.parametrize("policy", [
+        None, FaultPolicy(on_error="fallback"),
+    ], ids=["fail-fast", "fallback"])
+    def test_mid_chunk_failure_names_its_own_element(self, policy, schedule):
+        n, chunk = 40, 4
+        lo, hi = plan_chunks(n, chunk, schedule, 2)[1]
+        poison = lo + (hi - lo) // 2
+        assert lo < poison < hi - 1
+        for trace in (None, TraceCollector()):
+            ledger, events = [], []
+            try:
+                values = parallel_for(
+                    list(range(n)), functools.partial(fail_at, poison=poison),
+                    workers=2, chunk_size=chunk, schedule=schedule,
+                    backend="process", transport="shm", policy=policy,
+                    ledger=ledger, events=events, trace=trace,
+                )
+            except ValueError as exc:
+                values = repr(exc)
+            assert events == []
+            assert [r.seq for r in ledger] == [poison]
+            if policy is None:
+                assert values == repr(ValueError(f"poison {poison}"))
+            else:
+                assert values == [
+                    None if x == poison else x * x for x in range(n)
+                ]
+            if trace is not None:
+                assert [
+                    s.seq for s in trace.spans()
+                    if s.kind == "execute" and "error" in s.detail
+                ] == [poison]
+
+    def test_float_reduce_matches_pickle_and_serial_bit_for_bit(self):
+        rng = random.Random(7)
+        values = [rng.uniform(-1e6, 1e6) for _ in range(200)]
+        totals = {
+            (backend, transport): parallel_reduce(
+                values, third, operator.add, 0.1, workers=2, chunk_size=16,
+                backend=backend, transport=transport,
+                # a trace keeps the serial run's chunk plan
+                trace=TraceCollector(),
+            )
+            for backend, transport in (
+                ("process", "shm"), ("process", "pickle"),
+                ("serial", "pickle"),
+            )
+        }
+        assert len({total.hex() for total in totals.values()}) == 1
 
 
 # ---------------------------------------------------------------------------
