@@ -15,10 +15,12 @@ charged once up front and the schedules race on equal footing), with
 and dynamic degenerate to one huge chunk per worker.
 
 Gate (≥4 cores): ``guided`` and ``adaptive`` each at least 1.15× faster
-than ``static``.  Results always persist to
+than ``static``.  Full runs persist to
 ``benchmarks/results/adaptive_speedup.json`` (schema
 ``adaptive_speedup/v1``; ``gated`` records whether the machine was big
-enough to assert).  Also runnable standalone::
+enough to assert); ``--smoke`` writes
+``benchmarks/results/smoke/adaptive_speedup.json`` instead.  Also
+runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_adaptive.py --smoke
 """
@@ -33,6 +35,7 @@ from repro.runtime import parallel_for, shutdown_sessions
 RESULTS_PATH = (
     pathlib.Path(__file__).parent / "results" / "adaptive_speedup.json"
 )
+SMOKE_PATH = RESULTS_PATH.parent / "smoke" / RESULTS_PATH.name
 
 SCHEDULES = ("static", "dynamic", "guided", "adaptive")
 
@@ -132,10 +135,10 @@ def render(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _write(payload: dict) -> None:
+def _write(payload: dict, path: pathlib.Path = RESULTS_PATH) -> None:
     from repro.benchresults import write_result_doc
 
-    write_result_doc(RESULTS_PATH, payload)
+    write_result_doc(path, payload)
 
 
 def _assert_gates(payload: dict) -> None:
@@ -189,13 +192,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        payload = _smoke(args.workers)
+        payload, path = _smoke(args.workers), SMOKE_PATH
     else:
         payload = adaptive_sweep(n=args.n, workers=args.workers,
                                  repeats=args.repeats)
-    _write(payload)
+        path = RESULTS_PATH
+    _write(payload, path)
     print(render(payload))
-    print(f"results written to {RESULTS_PATH}")
+    print(f"results written to {path}")
     if not args.smoke and payload["gated"]:
         _assert_gates(payload)
     return 0

@@ -9,18 +9,24 @@ benchmark measures the two knobs that attack it (`Transport@loop`,
 * **transport**: `shm` vs `pickle` on a large flat-int loop, both on a
   warm pool so transport is the only variable.  Gate (≥4 cores):
   `shm` at least 2× faster.
-* **pool reuse**: a warm session's second call vs a cold call (spawn +
-  run + teardown) on a tiny workload where setup dominates.  Gate
-  (≥4 cores): warm pays < 25% of cold.
+* **pool reuse**: a warm session's call vs a cold call (a one-call
+  session: spawn + run + teardown) on a tiny workload where setup
+  dominates.  Gate (≥4 cores): warm pays < 25% of cold.
 
-Results always persist to ``benchmarks/results/ipc_speedup.json``
-(schema ``ipc_speedup/v1``; ``gated`` records whether the machine was
-big enough to assert).  Also runnable standalone::
+Each figure is the median of ``--repeats`` calls (default 9), recorded
+with its quartiles (``*_quartiles_s``), so a reader can see the spread
+of the machine the doc was measured on.  Full runs persist to
+``benchmarks/results/ipc_speedup.json`` (schema ``ipc_speedup/v1``;
+``gated`` records whether the machine was big enough to assert);
+``--smoke`` writes ``benchmarks/results/smoke/ipc_speedup.json``
+instead, so a smoke never overwrites the committed figures.  Also
+runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_ipc.py --smoke
 """
 
 import pathlib
+import statistics
 import sys
 import time
 
@@ -28,6 +34,7 @@ from repro.evalq.realexec import available_cores
 from repro.runtime import parallel_for, shutdown_sessions
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "ipc_speedup.json"
+SMOKE_PATH = RESULTS_PATH.parent / "smoke" / RESULTS_PATH.name
 
 
 def triple(x: int) -> int:
@@ -35,51 +42,54 @@ def triple(x: int) -> int:
     return x * 3
 
 
-def _timed(vals, *, workers, chunk_size, transport, reuse, repeats=1):
-    """Best-of-``repeats`` wall clock; asserts the results en route."""
-    best = float("inf")
-    out = None
-    for _ in range(max(1, repeats)):
+def _timed(vals, *, workers, chunk_size, transport, reuse, repeats):
+    """``(q1, median, q3)`` of ``repeats`` wall clocks (at least 3) in
+    seconds; asserts the results en route."""
+    times = []
+    for _ in range(max(3, repeats)):
         started = time.perf_counter()
         out = parallel_for(
             vals, triple,
             workers=workers, chunk_size=chunk_size, backend="process",
             transport=transport, reuse=reuse,
         )
-        best = min(best, time.perf_counter() - started)
-    assert out == [v * 3 for v in vals], "data-plane parity violated"
-    return best
+        times.append(time.perf_counter() - started)
+        assert out == [v * 3 for v in vals], "data-plane parity violated"
+    return statistics.quantiles(times, n=4, method="inclusive")
 
 
-def ipc_sweep(n: int = 200_000, workers: int = 4, repeats: int = 3) -> dict:
+def ipc_sweep(n: int = 200_000, workers: int = 4, repeats: int = 9) -> dict:
     """Measure both knobs; returns the results-file payload."""
     vals = list(range(n))
     chunk_size = max(1, n // 32)
+    timed = {}
     try:
         # --- transport: pickle vs shm, both warm (one warm-up call
         # each charges the pool spawn and the kernel ship) ---
-        _timed(vals, workers=workers, chunk_size=chunk_size,
-               transport="pickle", reuse=True)
-        pickle_s = _timed(vals, workers=workers, chunk_size=chunk_size,
-                          transport="pickle", reuse=True, repeats=repeats)
-        _timed(vals, workers=workers, chunk_size=chunk_size,
-               transport="shm", reuse=True)
-        shm_s = _timed(vals, workers=workers, chunk_size=chunk_size,
-                       transport="shm", reuse=True, repeats=repeats)
+        for transport in ("pickle", "shm"):
+            parallel_for(vals, triple, workers=workers,
+                         chunk_size=chunk_size, backend="process",
+                         transport=transport, reuse=True)
+            timed[transport] = _timed(
+                vals, workers=workers, chunk_size=chunk_size,
+                transport=transport, reuse=True, repeats=repeats,
+            )
 
-        # --- pool reuse: tiny workload, setup-dominated.  The cold
-        # call spawns and tears down its own pool; the warm call rides
-        # the session the warm-up above already paid for. ---
+        # --- pool reuse: tiny workload, setup-dominated.  Each cold
+        # call spawns and tears down a one-call session; the warm calls
+        # ride the session the warm-up above already paid for. ---
         tiny = list(range(64))
-        cold_s = _timed(tiny, workers=workers, chunk_size=1,
-                        transport="pickle", reuse=False)
-        _timed(tiny, workers=workers, chunk_size=1,
-               transport="pickle", reuse=True)
-        warm_s = _timed(tiny, workers=workers, chunk_size=1,
-                        transport="pickle", reuse=True)
+        for pool, reuse in (("cold", False), ("warm", True)):
+            timed[pool] = _timed(tiny, workers=workers, chunk_size=1,
+                                 transport="pickle", reuse=reuse,
+                                 repeats=repeats)
     finally:
         shutdown_sessions()
 
+    median = {k: round(q[1], 6) for k, q in timed.items()}
+    spread = {k: [round(q[0], 6), round(q[2], 6)] for k, q in timed.items()}
+    pickle_s, shm_s = median["pickle"], median["shm"]
+    cold_s, warm_s = median["cold"], median["warm"]
     cores = available_cores()
     shm_speedup = round(pickle_s / shm_s, 3) if shm_s else 0.0
     warm_ratio = round(warm_s / cold_s, 3) if cold_s else 0.0
@@ -90,29 +100,34 @@ def ipc_sweep(n: int = 200_000, workers: int = 4, repeats: int = 3) -> dict:
         [
             {
                 "label": "transport shm-vs-pickle",
-                "seconds": round(shm_s, 6),
+                "seconds": shm_s,
                 "speedup": shm_speedup,
-                "note": f"pickle {round(pickle_s, 6)}s",
+                "note": f"pickle {pickle_s}s",
             },
             {
                 "label": "pool warm-vs-cold",
-                "seconds": round(warm_s, 6),
+                "seconds": warm_s,
                 "ratio": warm_ratio,
-                "note": f"cold {round(cold_s, 6)}s",
+                "note": f"cold {cold_s}s",
             },
         ],
         cores_available=cores,
         gated=cores >= 4,
         workers=workers,
         n=n,
+        repeats=max(3, repeats),
         transport={
-            "pickle_s": round(pickle_s, 6),
-            "shm_s": round(shm_s, 6),
+            "pickle_s": pickle_s,
+            "pickle_quartiles_s": spread["pickle"],
+            "shm_s": shm_s,
+            "shm_quartiles_s": spread["shm"],
             "shm_speedup": shm_speedup,
         },
         pool_reuse={
-            "cold_s": round(cold_s, 6),
-            "warm_s": round(warm_s, 6),
+            "cold_s": cold_s,
+            "cold_quartiles_s": spread["cold"],
+            "warm_s": warm_s,
+            "warm_quartiles_s": spread["warm"],
             "warm_ratio": warm_ratio,
         },
     )
@@ -120,22 +135,28 @@ def ipc_sweep(n: int = 200_000, workers: int = 4, repeats: int = 3) -> dict:
 
 def render(payload: dict) -> str:
     t, p = payload["transport"], payload["pool_reuse"]
+
+    def fig(section: dict, key: str) -> str:
+        q1, q3 = section[f"{key}_quartiles_s"]
+        return f"{key} {section[f'{key}_s']:.4f}s [{q1:.4f}, {q3:.4f}]"
+
     return "\n".join([
         f"flat-int DOALL, n={payload['n']}, "
         f"{payload['workers']} workers, "
-        f"{payload['cores_available']} core(s)",
-        f"  transport  pickle {t['pickle_s']:.4f}s   "
-        f"shm {t['shm_s']:.4f}s   shm speedup {t['shm_speedup']:.2f}x",
-        f"  pool       cold {p['cold_s']:.4f}s   "
-        f"warm {p['warm_s']:.4f}s   warm/cold {p['warm_ratio']:.3f}",
+        f"{payload['cores_available']} core(s), "
+        f"median [quartiles] of {payload['repeats']} calls",
+        f"  transport  {fig(t, 'pickle')}   {fig(t, 'shm')}   "
+        f"shm speedup {t['shm_speedup']:.2f}x",
+        f"  pool       {fig(p, 'cold')}   {fig(p, 'warm')}   "
+        f"warm/cold {p['warm_ratio']:.3f}",
         f"  gates {'ASSERTED' if payload['gated'] else 'SKIPPED (<4 cores)'}",
     ])
 
 
-def _write(payload: dict) -> None:
+def _write(payload: dict, path: pathlib.Path = RESULTS_PATH) -> None:
     from repro.benchresults import write_result_doc
 
-    write_result_doc(RESULTS_PATH, payload)
+    write_result_doc(path, payload)
 
 
 def _assert_gates(payload: dict) -> None:
@@ -177,7 +198,7 @@ def _smoke(workers: int) -> dict:
                 assert got == expect, (transport, reuse)
     finally:
         shutdown_sessions()
-    return ipc_sweep(n=5_000, workers=workers, repeats=1)
+    return ipc_sweep(n=5_000, workers=workers, repeats=3)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -190,17 +211,20 @@ def main(argv: list[str] | None = None) -> int:
                              "no timing assertions")
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--n", type=int, default=200_000)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=9,
+                        help="calls per figure (at least 3); each "
+                             "figure is their median")
     args = parser.parse_args(argv)
 
     if args.smoke:
-        payload = _smoke(args.workers)
+        payload, path = _smoke(args.workers), SMOKE_PATH
     else:
         payload = ipc_sweep(n=args.n, workers=args.workers,
                             repeats=args.repeats)
-    _write(payload)
+        path = RESULTS_PATH
+    _write(payload, path)
     print(render(payload))
-    print(f"results written to {RESULTS_PATH}")
+    print(f"results written to {path}")
     if not args.smoke and payload["gated"]:
         _assert_gates(payload)
     return 0

@@ -10,7 +10,10 @@ optimum (= the expert's 'days'), across core counts and workload shapes.
 The second half measures *real* wall-clock, not the simulator: CPU-bound
 kernels swept over Backend ∈ {serial, thread, process}.  Under CPython
 the thread backend clusters around serial (the GIL) while the process
-backend approaches the core count.  Also runnable standalone::
+backend approaches the core count.  Full runs persist the sweep to
+``benchmarks/results/backend_speedup.json``; ``--smoke`` writes
+``benchmarks/results/smoke/backend_speedup.json`` instead.  Also
+runnable standalone::
 
     PYTHONPATH=src python benchmarks/bench_speedup.py --smoke
 """
@@ -97,11 +100,14 @@ def test_transformation_quality(benchmark, record):
 
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "backend_speedup.json"
+SMOKE_PATH = RESULTS_PATH.parent / "smoke" / RESULTS_PATH.name
 
 
-def _backend_sweep(workers: int, scale: float, repeats: int = 1):
+def _backend_sweep(
+    workers: int, scale: float, repeats: int = 1, path=RESULTS_PATH
+):
     rows = sweep_backends(workers=workers, scale=scale, repeats=repeats)
-    write_results(rows, str(RESULTS_PATH), workers=workers, scale=scale)
+    write_results(rows, str(path), workers=workers, scale=scale)
     return rows
 
 
@@ -155,10 +161,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     scale = 0.1 if args.smoke else args.scale
-    rows = _backend_sweep(args.workers, scale)
+    path = SMOKE_PATH if args.smoke else RESULTS_PATH
+    rows = _backend_sweep(args.workers, scale, path=path)
     print(render_table(rows))
     print(f"\ncores available: {available_cores()}")
-    print(f"results written to {RESULTS_PATH}")
+    print(f"results written to {path}")
     if any(r.backend == "process" and r.downgraded for r in rows):
         print("ERROR: process backend downgraded on picklable kernels")
         return 1

@@ -20,7 +20,6 @@ from repro.runtime.backend import (
     BackendEvent,
     BackendFallbackWarning,
     PoolSession,
-    ProcessCancellationToken,
     RecoveryEvent,
     ShipError,
     TuningError,
@@ -95,7 +94,6 @@ __all__ = [
     "plan_guided",
     "BackendEvent",
     "BackendFallbackWarning",
-    "ProcessCancellationToken",
     "RecoveryEvent",
     "PoolSession",
     "ShipError",

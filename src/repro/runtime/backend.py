@@ -31,11 +31,12 @@ Design contract, mirroring the supervised thread pools:
 * **chunk batching** — work travels per chunk, not per element, which
   amortizes IPC; results come back per chunk and the caller's ordered
   collector reassembles them by index.
-* **cancellation** — a :class:`ProcessCancellationToken` carries a
-  lock-free :class:`SharedFlag` bridged to the condition-variable API of
-  :class:`~repro.runtime.faults.CancellationToken`; plain tokens are
-  bridged parent-side (the collector sets the pool's stop flag the
-  moment the token fires).
+* **cancellation** — any :class:`~repro.runtime.faults.CancellationToken`
+  is bridged parent-side: the collector polls it and sets the pool's
+  lock-free stop flag (:class:`SharedFlag`) the moment it fires; workers
+  read the flag before every element.
+* **one pool** — every call runs on a :class:`PoolSession`; ``PoolReuse``
+  decides only whether the session outlives the call.
 
 A wedged pool cannot hang the caller: the result collector polls worker
 liveness and a worker that dies without its done-marker is detected,
@@ -290,28 +291,6 @@ class SharedFlag:
 
     def is_set(self) -> bool:
         return self._byte.value != 0
-
-
-class ProcessCancellationToken(CancellationToken):
-    """A :class:`CancellationToken` whose fired state crosses processes.
-
-    :attr:`shared_event` is a :class:`SharedFlag` handed to pool
-    workers, so a mid-run :meth:`cancel` stops them between elements
-    without parent-side polling; the inherited condition-variable
-    machinery still wakes any thread blocked in a bounded-buffer wait.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.shared_event = SharedFlag()
-
-    @property
-    def cancelled(self) -> bool:  # either side may have fired first
-        return self.shared_event.is_set() or self._event.is_set()
-
-    def cancel(self, reason: str = "cancelled") -> bool:
-        self.shared_event.set()
-        return super().cancel(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +559,7 @@ class ProcessPayload:
 
     ``kernel_blob`` is everything constant across calls with the same
     loop body (the body, policy, chaos spec, reduce op, label, trace
-    spec) — a warm :class:`PoolSession` ships it to each worker once per
+    spec) — a :class:`PoolSession` ships it to each member once per
     distinct ``digest`` and refers to it by digest afterwards.
     ``call_blob`` is the per-call delta: the input spec (inline values
     or a shared-memory block reference), the output-region spec and the
@@ -942,7 +921,6 @@ def _serve_call(
     counter,
     result_q,
     stop_flag,
-    cancel_flag,
     loaded: tuple,
     vals,
     chunks: list[tuple[int, int]],
@@ -952,12 +930,13 @@ def _serve_call(
 ) -> None:
     """Claim and execute chunks for one call — the worker-side protocol.
 
-    Shared between cold one-shot workers and warm session workers.
     ``uid`` is the worker's identity in every message; ``slot`` is its
-    static-stripe position for this call (equal to ``uid`` in a cold
-    pool).  Every message carries ``gen`` so the parent can discard
-    stragglers from earlier calls of a reused pool.  Chunks are claimed,
-    run and reported by their position in ``chunks``.
+    static-stripe position for this call.  Every message carries ``gen``
+    so the parent can discard stragglers from earlier calls of a reused
+    pool.  Chunks are claimed, run and reported by their position in
+    ``chunks``.  The worker stops between elements once ``stop_flag`` is
+    set; only the parent sets it (a failed chunk, a fired token, the end
+    of the call), so a straggler can never race the next call's clear.
 
     Original pool members claim chunks per ``schedule``; replacement and
     hedge workers receive an explicit ``assigned`` list of
@@ -993,11 +972,7 @@ def _serve_call(
         wprofiler = SamplingProfiler.from_spec(profiler_spec)
         wprofiler.worker_label = f"{label}-w{uid}@pid{os.getpid()}"
 
-    def should_stop() -> bool:
-        return stop_flag.is_set() or (
-            cancel_flag is not None and cancel_flag.is_set()
-        )
-
+    should_stop = stop_flag.is_set
     skip_set = frozenset(skip)
     if assigned is not None:
         handed = iter(list(assigned))
@@ -1096,54 +1071,7 @@ def _serve_call(
             msg = pickle.dumps(("chunk", k, chunk, gen))
         result_q.put(msg)
         if chunk.failed:
-            if gen == 0:
-                # cold pool: siblings stop between elements, like
-                # threads.  A warm pool leaves the stop flag to the
-                # parent — a straggler setting it late could race the
-                # next call's clear.
-                stop_flag.set()
             break
-
-
-def _worker_main(
-    wid: int,
-    nworkers: int,
-    kernel_blob: bytes,
-    call_blob: bytes,
-    schedule: str,
-    counter,
-    result_q,
-    stop_flag,
-    cancel_flag,
-    assigned: Sequence[tuple[int, int]] | None = None,
-    skip: Sequence[int] = (),
-) -> None:
-    """Cold pool worker entry point (module-level: spawn-safe)."""
-    closers = []
-    try:
-        try:
-            kernel = _load_kernel(kernel_blob)
-            input_spec, out_spec, chunks = pickle.loads(call_blob)
-            vals, close_in = _resolve_input(input_spec)
-            if close_in is not None:
-                closers.append(close_in)
-            out, close_out = _resolve_output(out_spec)
-            if close_out is not None:
-                closers.append(close_out)
-        except BaseException as exc:  # pragma: no cover - probed parent-side
-            result_q.put(pickle.dumps(("fatal", wid, repr(exc), 0)))
-            return
-        _serve_call(
-            wid, wid, 0, nworkers, schedule, counter, result_q,
-            stop_flag, cancel_flag, kernel, vals, chunks, out,
-            skip, assigned,
-        )
-    finally:
-        try:
-            for close in closers:
-                close()
-        finally:
-            result_q.put(pickle.dumps(("done", wid, 0)))
 
 
 def _session_worker_main(
@@ -1152,18 +1080,23 @@ def _session_worker_main(
     result_q,
     counter,
     stop_flag,
+    first: tuple[bytes | None, ...],
 ) -> None:
-    """Warm pool worker: serve calls from ``task_q`` until the sentinel.
+    """Pool worker: serve ``first``, then ``task_q``, until the sentinel.
 
-    Kernels are cached per digest, so a session re-running the same loop
-    unpickles (and, for shipped functions, re-marshals) the body exactly
-    once; later calls ship only the per-call delta.  A bad task is
-    answered with ``fatal`` + ``done`` and the worker stays available —
-    one poisoned call must not cost the pool a member.
+    ``first`` is what the member was started with: the task of the call
+    it joins and, in a one-call session, the sentinel behind it (such a
+    member reads no task queue: ``task_q`` is ``None``).  Kernels are
+    cached per digest, so a session re-running the same loop unpickles
+    (and, for shipped functions, re-marshals) the body exactly once;
+    later calls ship only the per-call delta.  A bad task is answered
+    with ``fatal`` + ``done`` and the worker stays available — one
+    poisoned call must not cost the pool a member.
     """
     kernels: dict[str, tuple] = {}
+    pending = list(first)
     while True:
-        raw = task_q.get()
+        raw = pending.pop(0) if pending else task_q.get()
         if raw is None:
             break
         gen = -1
@@ -1189,8 +1122,7 @@ def _session_worker_main(
                 continue
             _serve_call(
                 uid, slot, gen, nworkers, schedule, counter, result_q,
-                stop_flag, None, kernel, vals, chunks, out,
-                skip, assigned,
+                stop_flag, kernel, vals, chunks, out, skip, assigned,
             )
         finally:
             # segments attached before a failed setup are closed too.  A
@@ -1205,21 +1137,28 @@ def _session_worker_main(
 
 
 class PoolSession:
-    """A warm process pool, reused across calls (the ``PoolReuse`` knob).
+    """The process pool: every process-backend call runs on one.
 
-    Cold pools pay a full spawn + kernel unpickle on every call.  A
-    session keeps its workers alive between calls: the claim counter,
-    result queue and stop flag are created once (multiprocessing
-    primitives can only be inherited at spawn, never sent through a
-    queue) and reused with a per-call *generation* tag — every worker
-    message and every counter claim carries the generation, so
-    stragglers from an earlier call are filtered instead of corrupting
-    the next one.  Kernels ship once per distinct digest per worker;
-    later calls send only the per-call delta (input spec + chunks).
+    A member is started with the task of the call it joins and takes
+    later calls from its own task queue; the claim counter, result
+    queue and stop flag are created once per session
+    (multiprocessing primitives can only be inherited at spawn, never
+    sent through a queue) and reused with a per-call *generation* tag —
+    every worker message and every counter claim carries the
+    generation, so stragglers from an earlier call are filtered instead
+    of corrupting the next one.  Kernels ship once per distinct digest
+    per worker; later calls send only the per-call delta (input spec +
+    chunks).
+
+    ``PoolReuse`` decides only how long a session lives.  A warm session
+    (:func:`get_session`) keeps its members between calls; a one-call
+    session (``PoolReuse=False``, or a busy warm session) starts each
+    member with the retirement sentinel behind its task, and
+    :meth:`end_call` reaps them.
 
     Sessions are single-caller: the collector takes :attr:`lock`
-    non-blocking and falls back to a cold pool when the session is busy.
-    Workers are never terminated mid-call — retirement is a sentinel on
+    non-blocking and runs on a one-call session when it is busy.
+    Members are never terminated mid-call — retirement is a sentinel on
     the worker's own task queue, honoured when idle, so the shared
     result queue's feeder lock can never be stranded by the pool itself.
     """
@@ -1239,26 +1178,39 @@ class PoolSession:
         self._retired: list[Any] = []
         self._next_uid = 0
         self._call: tuple | None = None
+        #: retire every member after the call it serves
+        self._one_call = False
 
     @property
     def pids(self) -> list[int]:
         return [p.pid for p, _q in self._members.values()]
 
-    def _spawn_member(self) -> tuple[int, Any]:
+    def _spawn_member(
+        self, *, slot: int, assigned: list[tuple[int, int]] | None
+    ) -> tuple[int, Any]:
+        """Start a member with the current call's task; queueing it
+        would cost a feeder-thread start, ~1 ms while fresh forks hold
+        the CPU."""
         uid = self._next_uid
         self._next_uid += 1
-        task_q = self.ctx.Queue()
+        self._known[uid] = set()
+        first = (self._task(uid, slot=slot, assigned=assigned),)
+        task_q = None
+        if self._one_call:
+            first += (None,)
+        else:
+            task_q = self.ctx.Queue()
         p = self.ctx.Process(
             target=_session_worker_main,
             args=(
                 uid, task_q, self.result_q, self.counter, self.stop_flag,
+                first,
             ),
             daemon=True,
-            name=f"repro-warm-{uid}",
+            name=f"repro-pool-{uid}",
         )
         p.start()
         self._members[uid] = (p, task_q)
-        self._known[uid] = set()
         return uid, p
 
     def _drop_member(self, uid: int, sentinel: bool) -> None:
@@ -1267,13 +1219,14 @@ class PoolSession:
         if member is None:
             return
         p, q = member
-        if sentinel:
-            try:
-                q.put(None)
-            except Exception:  # pragma: no cover - queue already down
-                pass
-        q.close()
-        q.cancel_join_thread()
+        if q is not None:  # a one-call member reads no task queue
+            if sentinel:
+                try:
+                    q.put(None)
+                except Exception:  # pragma: no cover - queue already down
+                    pass
+            q.close()
+            q.cancel_join_thread()
         self._retired.append(p)
 
     def _prune_dead(self) -> None:
@@ -1305,23 +1258,27 @@ class PoolSession:
         with self.counter.get_lock():
             self.counter.value = self.gen << _GEN_SHIFT
         self._prune_dead()
-        while len(self._members) < self.nworkers:
-            self._spawn_member()
         self._call = (payload, schedule, tuple(sorted(skip)))
         roster = []
         for slot, uid in enumerate(sorted(self._members)[: self.nworkers]):
-            self._send_task(uid, slot=slot, assigned=None)
+            self._members[uid][1].put(
+                self._task(uid, slot=slot, assigned=None)
+            )
             roster.append((uid, slot, self._members[uid][0]))
+        for slot in range(len(roster), self.nworkers):
+            uid, p = self._spawn_member(slot=slot, assigned=None)
+            roster.append((uid, slot, p))
         self.calls += 1
         return roster
 
-    def _send_task(
+    def _task(
         self,
         uid: int,
         *,
         slot: int,
         assigned: list[tuple[int, int]] | None,
-    ) -> None:
+    ) -> bytes:
+        """The current call's task for one member, pickled."""
         payload, schedule, skip = self._call
         known = self._known[uid]
         msg = (
@@ -1336,17 +1293,13 @@ class PoolSession:
             assigned,
         )
         known.add(payload.digest)
-        self._members[uid][1].put(
-            pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+        return pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
 
     def spawn_assigned(
         self, assigned: list[tuple[int, int]]
     ) -> tuple[int, Any]:
         """A replacement or hedge worker joining the current call."""
-        uid, p = self._spawn_member()
-        self._send_task(uid, slot=self.nworkers, assigned=list(assigned))
-        return uid, p
+        return self._spawn_member(slot=self.nworkers, assigned=list(assigned))
 
     def note_dead(self, uid: int) -> None:
         """The collector found a dead member; forget it."""
@@ -1365,24 +1318,33 @@ class PoolSession:
         """
         self.nworkers = max(1, int(workers))
 
-    def end_call(self) -> None:
-        """Close the call: stop stragglers, retire beyond-strength extras."""
+    def end_call(self) -> list[str]:
+        """Close the call: stop stragglers, retire beyond-strength extras.
+        A one-call session shuts down and returns the members it leaked."""
         self.stop_flag.set()
         self._call = None
+        if self._one_call:
+            return self.shutdown()
         self._prune_dead()
         for uid in sorted(self._members)[self.nworkers:]:
             self._drop_member(uid, sentinel=True)
+        return []
 
-    def shutdown(self) -> None:
+    def shutdown(self) -> list[str]:
+        """Retire every member and reap it: join, then terminate, then
+        kill.  Returns the names of members the join did not see exit."""
         for uid in list(self._members):
             self._drop_member(uid, sentinel=True)
         for p in self._retired:
             p.join(timeout=1.0)
+        leaked = [p.name for p in self._retired if p.is_alive()]
         for p in self._retired:
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=0.5)
                 if p.is_alive():
+                    # SIGTERM can be blocked or ignored mid-syscall;
+                    # SIGKILL cannot — a straggler never outlives the pool
                     p.kill()
                     p.join(timeout=0.5)
         self._retired.clear()
@@ -1393,6 +1355,14 @@ class PoolSession:
             pass
         self.result_q.close()
         self.result_q.cancel_join_thread()
+        return leaked
+
+
+def _one_call_session(workers: int) -> PoolSession:
+    """A session that retires its members after the call they serve."""
+    session = PoolSession(workers)
+    session._one_call = True
+    return session
 
 
 #: warm pools by (start method, width); insertion order is LRU order
@@ -1450,8 +1420,9 @@ def warm_session(
 
     The one place a session is acquired, restored and released, and the
     one place a call counts ``pool_warm_hits`` (warm workers serve it)
-    or ``pool_warm_misses`` (the session is busy; a cold pool pays the
-    spawn).  Yields ``None`` on a miss.  A holder may
+    or ``pool_warm_misses`` (the session is busy).  Yields ``None`` on a
+    miss, and :func:`run_process_chunks` then runs the call on a
+    one-call session that pays the spawn.  A holder may
     :meth:`PoolSession.resize` the session between pool calls; the
     registry keys sessions by width, so the width is restored before the
     lock is released.
@@ -1518,11 +1489,17 @@ def run_process_chunks(
     out_values: Any = None,
     session: "PoolSession | None" = None,
 ) -> ProcessRun:
-    """Execute a prepared payload on a process pool and collect chunks.
+    """Execute a prepared payload on a :class:`PoolSession`; collect chunks.
+
+    ``session`` is the warm session the caller holds through
+    :func:`warm_session`; without one (``PoolReuse=False``, or a busy
+    warm session) the call runs on a one-call session, reaped when it
+    ends (stragglers are named in :attr:`ProcessRun.leaked`).
 
     The collector never blocks indefinitely: it polls worker liveness, so
     a worker that dies without delivering its done-marker surfaces as
-    lost chunks instead of a hang.  Stragglers are terminated on exit.
+    lost chunks instead of a hang.  A fired ``cancel`` token is bridged
+    into the pool's stop flag within one 50 ms poll.
 
     Resilience contract:
 
@@ -1548,10 +1525,6 @@ def run_process_chunks(
       spans on ``trace``.
     * ``out_values`` is the parent-side shared output region a chunk
       flagged ``shm`` is materialized from at absorb time.
-    * ``session`` serves the call from a warm :class:`PoolSession` the
-      caller holds through :func:`warm_session` (``None``: a cold pool);
-      the call runs the per-call generation protocol
-      (``begin_call``/``end_call``).
     """
     bounds = list(chunks)
     n_chunks = len(bounds)
@@ -1560,22 +1533,8 @@ def run_process_chunks(
     if live_chunks <= 0:
         return ProcessRun(chunks={}, fatal=[], leaked=[])
     nworkers = max(1, min(workers, live_chunks))
-    if session is not None:
-        ctx = session.ctx
-        counter = session.counter
-        result_q = session.result_q
-        stop_flag = session.stop_flag
-        cancel_flag = None  # session workers predate the token: bridge
-    else:
-        ctx = mp_context()
-        counter = ctx.Value("Q", 0)
-        result_q = ctx.Queue()
-        stop_flag = SharedFlag()
-        cancel_flag = (
-            cancel.shared_event
-            if isinstance(cancel, ProcessCancellationToken)
-            else None
-        )
+    session = session or _one_call_session(nworkers)
+    result_q, stop_flag = session.result_q, session.stop_flag
 
     series = StageSeries(metrics, label) if metrics is not None else None
     delivered: dict[int, ChunkResult] = {}
@@ -1591,46 +1550,20 @@ def run_process_chunks(
     latencies: list[float] = []
     chunk_latency: dict[int, float] = {}
     hedged: set[int] = set()
-    next_uid = 0
     restarts_used = 0
     hedges_used = 0
     failed_seen = False
 
-    gen = 0  # reassigned by begin_call for a warm session
+    gen = None  # every message is stale until begin_call opens a generation
 
-    def spawn(assigned: list[tuple[int, int]] | None = None):
-        """Start one worker; in a cold pool, uid doubles as the
-        static-stripe slot."""
-        nonlocal next_uid
-        if session is not None:
-            uid, p = session.spawn_assigned(assigned or [])
-        else:
-            uid = next_uid
-            next_uid += 1
-            p = ctx.Process(
-                target=_worker_main,
-                args=(
-                    uid, nworkers, payload.kernel_blob, payload.call_blob,
-                    schedule, counter, result_q, stop_flag, cancel_flag,
-                    assigned, tuple(sorted(skip)),
-                ),
-                daemon=True,
-                name=f"repro-pool-{uid}",
-            )
+    def spawn(assigned: list[tuple[int, int]]):
+        """Start a replacement or hedge worker for ``assigned`` chunks."""
+        uid, p = session.spawn_assigned(assigned)
         procs[uid] = p
-        if assigned is not None:
-            for k, att in assigned:
-                inflight.setdefault(k, set()).add(uid)
-                attempts[k] = max(attempts.get(k, 0), att)
-                claim_time[k] = time.monotonic()
-        elif schedule == "static":
-            # the stripe is ownership from birth: a static worker's
-            # unclaimed chunks die with it and must be re-dispatched
-            for k in range(uid, n_chunks, nworkers):
-                if k not in skip:
-                    inflight.setdefault(k, set()).add(uid)
-        if session is None:
-            p.start()
+        for k, att in assigned:
+            inflight.setdefault(k, set()).add(uid)
+            attempts[k] = max(attempts.get(k, 0), att)
+            claim_time[k] = time.monotonic()
         return uid, p
 
     def recv_nowait() -> tuple:
@@ -1755,8 +1688,7 @@ def run_process_chunks(
         nonlocal restarts_used
         p = procs[uid]
         dead_uids.add(uid)
-        if session is not None:
-            session.note_dead(uid)
+        session.note_dead(uid)
         lost: list[int] = []
         for k in sorted(inflight):
             owners = inflight[k]
@@ -1830,36 +1762,25 @@ def run_process_chunks(
                     attempt=att,
                 )
 
-    if session is not None:
+    # Hedging and cancel bridging are the only reasons to wake without a
+    # pool event; otherwise the wait can stretch — every message and
+    # every worker death interrupts it.
+    poll = 0.05 if hedge > 0.0 or cancel is not None else 0.25
+
+    try:
         roster = session.begin_call(payload, schedule=schedule, skip=skip)
         gen = session.gen
         for uid, slot, p in roster:
             procs[uid] = p
             if schedule == "static":
+                # the stripe is ownership from birth: a static worker's
+                # unclaimed chunks die with it and must be re-dispatched
                 for k in range(slot, n_chunks, nworkers):
                     if k not in skip:
                         inflight.setdefault(k, set()).add(uid)
-    else:
-        for _ in range(nworkers):
-            spawn()
-
-    # Hedging and parent-side cancel bridging are the only reasons to
-    # wake without a pool event; otherwise the wait can stretch — every
-    # message and every worker death interrupts it.
-    poll = (
-        0.05
-        if hedge > 0.0 or (cancel is not None and cancel_flag is None)
-        else 0.25
-    )
-
-    try:
         while True:
-            # bridge a plain (thread-level) token into the pool
-            if (
-                cancel is not None
-                and cancel_flag is None
-                and cancel.cancelled
-            ):
+            # bridge the token into the pool: workers read only the flag
+            if cancel is not None and cancel.cancelled:
                 stop_flag.set()
             if len(delivered) >= live_chunks:
                 # every chunk accounted for: don't wait out hedge losers
@@ -1994,35 +1915,10 @@ def run_process_chunks(
                 absorb(recv_nowait())
         except (_queue.Empty, OSError, EOFError):
             pass
-        if session is not None:
-            # warm pool: members stay alive for the next call; a busy
-            # straggler finishes its stale-generation chunk and idles
-            leaked = []
-            session.end_call()
-        else:
-            for p in procs.values():
-                p.join(timeout=1.0)
-            leaked = [p.name for p in procs.values() if p.is_alive()]
-            for p in procs.values():
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=0.5)
-                    if p.is_alive():
-                        # SIGTERM can be blocked or ignored mid-syscall;
-                        # SIGKILL cannot — a straggler never leaks past
-                        # the pool
-                        p.kill()
-                        p.join(timeout=0.5)
-            # Queue teardown contract: drain first (above), then close()
-            # our sender side, then cancel_join_thread() so interpreter
-            # exit can never block joining a feeder whose reader is gone.
-            try:
-                while True:
-                    absorb(recv_nowait())
-            except (_queue.Empty, OSError, EOFError):
-                pass
-            result_q.close()
-            result_q.cancel_join_thread()
+        # a warm session keeps its members for the next call (a busy
+        # straggler finishes its stale-generation chunk and idles); a
+        # one-call session reaps them here
+        leaked = session.end_call()
     return ProcessRun(
         chunks=delivered, fatal=fatal, leaked=leaked, recovery=recovery,
         latencies=chunk_latency,

@@ -3,6 +3,7 @@ fallback, shipping, cancellation, chaos conservation, and the tuning-file
 round trip onto real processes."""
 
 import functools
+import multiprocessing
 import os
 import pickle
 import threading
@@ -19,11 +20,13 @@ from repro.runtime.backend import (
     BACKENDS,
     BackendEvent,
     BackendFallbackWarning,
-    ProcessCancellationToken,
     SharedFlag,
     ShipError,
     TuningError,
+    build_process_payload,
+    get_session,
     mp_context,
+    run_process_chunks,
     ship_callable,
     shutdown_sessions,
 )
@@ -33,6 +36,7 @@ from repro.runtime.faults import (
     CancelledError,
     FaultPolicy,
 )
+from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.parallel_for import (
     configured_parallel_for,
     parallel_for,
@@ -262,11 +266,7 @@ class TestCancellation:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_mid_run_cancellation(self, backend):
-        token = (
-            ProcessCancellationToken()
-            if backend == "process"
-            else CancellationToken()
-        )
+        token = CancellationToken()
         timer = threading.Timer(0.1, token.cancel)
         timer.start()
         started = time.monotonic()
@@ -333,7 +333,7 @@ class TestCancellation:
             timer.cancel()
 
     def test_process_token_stops_cold_pool_mid_chunk(self):
-        self._cancel_after_100ms(ProcessCancellationToken())
+        self._cancel_after_100ms(CancellationToken())
 
     def test_plain_token_stops_warm_pool_mid_chunk(self):
         self._cancel_after_100ms(CancellationToken(), reuse=True)
@@ -355,23 +355,9 @@ class TestCancellation:
 
         assert best(flag.is_set) < 0.3 * best(event.is_set)
 
-    def test_process_token_api(self):
-        token = ProcessCancellationToken()
-        assert not token.cancelled
-        assert token.cancel("why") is True
-        assert token.cancelled
-        assert token.shared_event.is_set()
-        assert token.reason == "why"
-        with pytest.raises(CancelledError):
-            token.raise_if_cancelled()
-
     @backends
     def test_masterworker_cancellation(self, backend):
-        token = (
-            ProcessCancellationToken()
-            if backend == "process"
-            else CancellationToken()
-        )
+        token = CancellationToken()
         token.cancel("stop")
         mw = MasterWorker(workers=2, backend=backend)
         with pytest.raises(CancelledError):
@@ -682,6 +668,119 @@ class TestWorkerLoss:
         assert "worker_lost" in kinds
         assert "respawn" in kinds
         assert "redispatch" in kinds
+
+
+# ---------------------------------------------------------------------------
+# one pool: a cold call runs on a one-call PoolSession, reaped at its end
+# ---------------------------------------------------------------------------
+
+def _straggle_once(marker, x):
+    """The first run of element 5 sleeps 6 s; every later run is fast."""
+    if x == 5 and not os.path.exists(marker):
+        open(marker, "w").close()
+        time.sleep(6.0)
+    return x * x
+
+
+def _child_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+class TestOnePool:
+    @pytest.fixture(autouse=True)
+    def _no_warm_pools(self):
+        shutdown_sessions()
+        yield
+        shutdown_sessions()
+
+    def _reaps(self, call):
+        before = _child_pids()
+        call()
+        assert _child_pids() - before == set()
+
+    def test_clean_cold_call_reaps_its_members(self):
+        def call():
+            out = parallel_for(
+                range(40), square, workers=2, chunk_size=5,
+                backend="process",
+            )
+            assert out == [x * x for x in range(40)]
+
+        self._reaps(call)
+
+    def test_failed_cold_call_reaps_its_members(self):
+        def call():
+            with pytest.raises(ValueError, match="poison element"):
+                parallel_for(
+                    range(40), poison_five, workers=2, chunk_size=5,
+                    backend="process",
+                )
+
+        self._reaps(call)
+
+    def test_cancelled_cold_call_reaps_its_members(self):
+        token = CancellationToken()
+        timer = threading.Timer(0.1, token.cancel)
+
+        def call():
+            timer.start()
+            with pytest.raises(CancelledError):
+                parallel_for(
+                    range(200), _slow_identity, workers=2, chunk_size=1,
+                    backend="process", cancel=token,
+                )
+
+        try:
+            self._reaps(call)
+        finally:
+            timer.cancel()
+
+    def test_hedged_cold_call_reaps_its_losing_worker(self, tmp_path):
+        body = functools.partial(_straggle_once, str(tmp_path / "slow"))
+        vals = list(range(12))
+        chunks = [(i, i + 1) for i in vals]
+        payload, why = build_process_payload(body, vals, chunks)
+        assert why is None
+        before = _child_pids()
+        started = time.monotonic()
+        run = run_process_chunks(payload, chunks, workers=3, hedge=0.95)
+        # the hedge won long before the 6 s sleeper woke: the call ended
+        # with the loser still running, so the reap terminated it
+        assert time.monotonic() - started < 5.0
+        assert "hedge" in [e.kind for e in run.recovery]
+        assert {k: c.values for k, c in run.chunks.items()} == {
+            k: [k * k] for k in vals
+        }
+        assert len(run.leaked) == 1
+        assert _child_pids() - before == set()
+
+    def test_busy_warm_session_runs_the_call_on_a_one_call_session(self):
+        values = list(range(40))
+        expect = [v * v for v in values]
+        call = functools.partial(
+            parallel_for, values, square, workers=2, chunk_size=5,
+            backend="process", reuse=True,
+        )
+        assert call() == expect  # spawns the warm members
+        session = get_session(2)
+        pids = sorted(session.pids)
+        assert len(pids) == 2
+        before = _child_pids()
+        missed = MetricsRegistry()
+        with session.lock:  # another holder
+            assert call(metrics=missed) == expect
+        assert missed.total("pool_warm_misses") == 1
+        assert missed.total("pool_warm_hits") == 0
+        assert sorted(session.pids) == pids
+        assert session.calls == 1
+        # the one-call members are gone; the warm ones are untouched
+        assert _child_pids() - before == set()
+        hit = MetricsRegistry()
+        assert call(metrics=hit) == expect
+        assert hit.total("pool_warm_hits") == 1
+        assert hit.total("pool_warm_misses") == 0
+        assert sorted(session.pids) == pids
+        assert session.calls == 2
 
 
 # ---------------------------------------------------------------------------
