@@ -5,8 +5,9 @@ element cost grows linearly with index, so with a large chunk size the
 worker that draws the tail does almost all the work while the others
 idle.  ``dynamic`` with the same large chunk barely helps (the chunks
 are still huge); ``guided`` shrinks descriptors geometrically so the
-expensive tail is split fine; ``adaptive`` starts from the same prior
-and re-tunes chunk size from per-chunk latency feedback mid-run.
+expensive tail is split fine; ``adaptive`` is an alias of ``guided``
+and runs the same guided plan, so its row checks that the alias keeps
+``guided``'s cost.
 
 This benchmark runs the same triangular loop under all four values of
 ``Schedule@loop`` on the process backend (warm pool, so pool spawn is

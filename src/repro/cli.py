@@ -47,7 +47,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core import Patty
 from repro.frontend.source import SourceProgram
@@ -375,26 +375,20 @@ def _chaos_check(test, with_chaos, run_parallel_test, seed, fail_rate) -> bool:
 # trace
 # ---------------------------------------------------------------------------
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run a benchmark's transformed functions with span tracing on.
+def _run_transformed(args: argparse.Namespace, injector: Any = None) -> int:
+    """Run ``args.benchmark``'s transformed functions once; count them.
 
-    The observability workflow: generate the parallel variants of every
-    detected (top-level, input-backed) pattern, execute them inside one
-    trace session, and render the per-stage breakdown.  ``--export-json``
-    additionally writes the run as a Chrome trace-event file, loadable in
-    Perfetto / ``chrome://tracing``.
+    Generates the parallel variant of every detected top-level pattern
+    whose function has benchmark inputs and calls it on
+    ``args.backend``, under ``injector``'s chaos if given.  The observer
+    sessions the caller opened record the runs.  A variant that fails to
+    compile is skipped and one that raises is reported, both on stderr;
+    a raising run still counts.
     """
     import copy
 
     from repro.benchsuite import get_program
     from repro.evalq import suppress_nested
-    from repro.report import trace_report
-    from repro.runtime import ChaosInjector
-    from repro.runtime.trace import (
-        TraceCollector,
-        trace_session,
-        write_chrome_trace,
-    )
     from repro.transform import CodegenError, compile_parallel
 
     bp = get_program(args.benchmark)
@@ -404,46 +398,65 @@ def cmd_trace(args: argparse.Namespace) -> int:
     matches = suppress_nested(
         catalog.detect_in_program(prog, runner=bp.make_runner())
     )
+    config = {
+        "Backend@loop": args.backend,
+        "Backend@workers": args.backend,
+        "Backend@pipeline": args.backend,
+    }
+    if injector is not None:
+        # keep the run alive under injected faults: retry once, then skip
+        config.update({"Retries@loop": 1, "OnError@loop": "skip"})
+    ran = 0
+    for m in matches:
+        if "." in m.function or m.function not in bp.inputs:
+            continue
+        func_ir = prog.function(m.function)
+        try:
+            par = compile_parallel(func_ir, m, dict(ns))
+        except CodegenError as exc:
+            print(f"  skipped {m.function}: {exc}", file=sys.stderr)
+            continue
+        fargs, fkwargs = bp.inputs[m.function]
+        try:
+            par(
+                *copy.deepcopy(fargs),
+                **dict(fkwargs),
+                __tuning__=dict(config),
+                __chaos__=injector,
+            )
+        except Exception as exc:  # noqa: BLE001 - report and continue
+            print(
+                f"  {m.function} raised {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
+        ran += 1
+    return ran
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
+    """Run a benchmark's transformed functions with span tracing on.
+
+    The observability workflow: generate the parallel variants of every
+    detected (top-level, input-backed) pattern, execute them inside one
+    trace session, and render the per-stage breakdown.  ``--export-json``
+    additionally writes the run as a Chrome trace-event file, loadable in
+    Perfetto / ``chrome://tracing``.
+    """
+    from repro.report import trace_report
+    from repro.runtime import ChaosInjector
+    from repro.runtime.trace import (
+        TraceCollector,
+        trace_session,
+        write_chrome_trace,
+    )
 
     backend = args.backend
-    config = {
-        "Backend@loop": backend,
-        "Backend@workers": backend,
-        "Backend@pipeline": backend,
-    }
     injector = None
     if args.chaos is not None:
         injector = ChaosInjector(seed=args.chaos, fail_rate=args.chaos_fail_rate)
-        # keep the run alive under injected faults: retry once, then skip
-        config.update({"Retries@loop": 1, "OnError@loop": "skip"})
-
     collector = TraceCollector(capacity=args.capacity)
-    ran = 0
     with trace_session(collector=collector):
-        for m in matches:
-            if "." in m.function or m.function not in bp.inputs:
-                continue
-            func_ir = prog.function(m.function)
-            try:
-                par = compile_parallel(func_ir, m, dict(ns))
-            except CodegenError as exc:
-                print(f"  skipped {m.function}: {exc}", file=sys.stderr)
-                continue
-            fargs, fkwargs = bp.inputs[m.function]
-            try:
-                par(
-                    *copy.deepcopy(fargs),
-                    **dict(fkwargs),
-                    __tuning__=dict(config),
-                    __chaos__=injector,
-                )
-            except Exception as exc:  # noqa: BLE001 - report and continue
-                print(
-                    f"  {m.function} raised {type(exc).__name__}: {exc}",
-                    file=sys.stderr,
-                )
-            ran += 1
-
+        ran = _run_transformed(args, injector)
     if ran == 0:
         print("no runnable transformed functions found", file=sys.stderr)
         return 1
@@ -489,10 +502,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     a speedscope.app JSON document, and ``--export-json`` a Chrome trace
     with the sampled work windows merged in as extra Perfetto tracks.
     """
-    import copy
-
-    from repro.benchsuite import get_program
-    from repro.evalq import suppress_nested
     from repro.report import profile_report
     from repro.runtime.profiler import (
         SamplingProfiler,
@@ -506,51 +515,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         trace_session,
         write_chrome_trace,
     )
-    from repro.transform import CodegenError, compile_parallel
     from repro.tuning.hints import classify
 
-    bp = get_program(args.benchmark)
-    prog = bp.parse()
-    ns = bp.namespace()
-    catalog = default_catalog(prefer=args.prefer)
-    matches = suppress_nested(
-        catalog.detect_in_program(prog, runner=bp.make_runner())
-    )
-
     backend = args.backend
-    config = {
-        "Backend@loop": backend,
-        "Backend@workers": backend,
-        "Backend@pipeline": backend,
-    }
-
     profiler = SamplingProfiler(hz=args.hz)
     collector = TraceCollector()
-    ran = 0
     with trace_session(collector=collector), profile_session(profiler=profiler):
-        for m in matches:
-            if "." in m.function or m.function not in bp.inputs:
-                continue
-            func_ir = prog.function(m.function)
-            try:
-                par = compile_parallel(func_ir, m, dict(ns))
-            except CodegenError as exc:
-                print(f"  skipped {m.function}: {exc}", file=sys.stderr)
-                continue
-            fargs, fkwargs = bp.inputs[m.function]
-            try:
-                par(
-                    *copy.deepcopy(fargs),
-                    **dict(fkwargs),
-                    __tuning__=dict(config),
-                )
-            except Exception as exc:  # noqa: BLE001 - report and continue
-                print(
-                    f"  {m.function} raised {type(exc).__name__}: {exc}",
-                    file=sys.stderr,
-                )
-            ran += 1
-
+        ran = _run_transformed(args)
     if ran == 0:
         print("no runnable transformed functions found", file=sys.stderr)
         return 1

@@ -22,10 +22,8 @@ from repro.patterns.base import PatternMatch, SourcePattern, stage_names
 from repro.patterns.tuning import (
     BACKEND,
     BACKEND_DOMAIN,
-    METRICS,
     NUM_WORKERS,
     SEQUENTIAL_EXECUTION,
-    TRACE,
     BoolParameter,
     ChoiceParameter,
     IntParameter,
@@ -146,18 +144,6 @@ class MasterWorkerPattern(SourcePattern):
                 choices=BACKEND_DOMAIN,
                 location=loc,
             ),
-            BoolParameter(
-                name=TRACE,
-                target="workers",
-                default=False,
-                location=loc,
-            ),
-            BoolParameter(
-                name=METRICS,
-                target="workers",
-                default=False,
-                location=loc,
-            ),
         ]
         return PatternMatch(
             pattern=self.name,
@@ -226,18 +212,6 @@ def match_region(
                 target="workers",
                 default="thread",
                 choices=BACKEND_DOMAIN,
-                location=loc,
-            ),
-            BoolParameter(
-                name=TRACE,
-                target="workers",
-                default=False,
-                location=loc,
-            ),
-            BoolParameter(
-                name=METRICS,
-                target="workers",
-                default=False,
                 location=loc,
             ),
         ],

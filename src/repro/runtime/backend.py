@@ -508,23 +508,17 @@ class ChunkResult:
     #: (seq, error, attempts, action) — the ErrorRecord ingredients
     records: list[tuple[int, BaseException, int, str]]
     counters: dict[str, int]
-    #: the chunk's chaos-injection counts (its own stream's stats)
-    chaos: dict[str, int] | None
     failed: bool
-    #: worker-side span dicts drained after the chunk (trace parity)
-    spans: list | None
-    spans_dropped: int
     #: values live in the shared output region, not in ``values`` — the
     #: collector materializes them exactly once at absorb time
-    shm: bool
-    #: worker-side metric delta drained after the chunk — rides the same
-    #: road as ``spans`` and is deduped whole with the chunk, so metric
-    #: accounting stays exactly-once under recovery
-    metrics: list | None
-    #: worker-side profiler delta (folded stacks + work records) drained
-    #: after the chunk — same road, same whole-chunk dedup, so sample
-    #: accounting stays exactly-once under recovery
-    profile: tuple | None
+    shm: bool = False
+    #: ``{kind: delta}`` a pool worker drained from its observers after
+    #: the chunk (chaos counts, spans, metric deltas, samples).  It is
+    #: absorbed with the chunk's first result and dropped whole with a
+    #: duplicate, so every observer's accounting stays exactly-once
+    #: under recovery.  In-process executors record straight into the
+    #: caller's observers and leave it empty.
+    sidecars: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -558,7 +552,7 @@ class ProcessPayload:
     """A prepared work payload, split along the ship-once seam.
 
     ``kernel_blob`` is everything constant across calls with the same
-    loop body (the body, policy, chaos spec, reduce op, label, trace
+    loop body (the body, policy, reduce op, label and each observer's
     spec) — a :class:`PoolSession` ships it to each member once per
     distinct ``digest`` and refers to it by digest afterwards.
     ``call_blob`` is the per-call delta: the input spec (inline values
@@ -577,12 +571,9 @@ def build_process_payload(
     chunks: Sequence[tuple[int, int]],
     *,
     policy: FaultPolicy | None = None,
-    chaos: ChaosInjector | None = None,
     reduce_op: Callable | None = None,
     label: str = "loop",
-    trace: TraceCollector | None = None,
-    metrics: MetricsRegistry | None = None,
-    profiler: SamplingProfiler | None = None,
+    observers: dict[str, Any] | None = None,
     input_spec: tuple[str, Any] | None = None,
     out_spec: dict[str, Any] | None = None,
 ) -> tuple[ProcessPayload | None, str | None]:
@@ -593,20 +584,19 @@ def build_process_payload(
     that turns an unpicklable loop body into a recorded thread fallback
     instead of a mid-run crash.
 
-    ``input_spec`` defaults to shipping ``vals`` inline; the shm
-    transport passes ``("shm", block_spec)`` instead, and ``out_spec``
-    names the preallocated result region workers write into.
+    ``observers`` is the run's ``{kind: observer}`` map; the kernel
+    carries each one's :data:`OBSERVERS` spec.  ``input_spec`` defaults
+    to shipping ``vals`` inline; the shm transport passes ``("shm",
+    block_spec)`` instead, and ``out_spec`` names the preallocated
+    result region workers write into.
     """
     try:
         kernel = (
             ship_blob(body),
             policy,
-            chaos.spec() if chaos is not None else None,
             ship_blob(reduce_op) if reduce_op is not None else None,
             label,
-            trace.spec() if trace is not None else None,
-            metrics.spec() if metrics is not None else None,
-            profiler.spec() if profiler is not None else None,
+            {kind: obs.spec() for kind, obs in (observers or {}).items()},
         )
         kernel_blob = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
         if input_spec is None:
@@ -761,13 +751,24 @@ def _run_reduce_chunk(
         return [], [(lo, exc, 1, "failed")], counters, True
 
 
+#: every observer kind, by the name it travels under: the kernel ships
+#: each one's ``spec()``, a pool worker rebuilds it with ``from_spec``
+#: and ``drain()``\ s it after every chunk into
+#: :attr:`ChunkResult.sidecars`, and the parent ``absorb``\ s what the
+#: drain returned
+OBSERVERS = {
+    "chaos": ChaosInjector,
+    "trace": TraceCollector,
+    "metrics": MetricsRegistry,
+    "profiler": SamplingProfiler,
+}
+
+
 class Kernel(NamedTuple):
     """What every chunk of one call runs: the call-constant half."""
 
     body: Callable[[Any], Any]
     policy: FaultPolicy | None
-    #: :meth:`ChaosInjector.spec` — each chunk draws its own stream
-    chaos: dict[str, Any] | None
     #: the fold operator of a reduction; ``None`` maps
     reduce_op: Callable[[Any, Any], Any] | None
     label: str
@@ -781,25 +782,27 @@ def run_chunk(
     should_stop: Callable[[], bool],
     *,
     cancel: CancellationToken | None = None,
-    trace: TraceCollector | None = None,
-    metrics: MetricsRegistry | None = None,
-    profiler: SamplingProfiler | None = None,
+    observers: dict[str, Any],
 ) -> ChunkResult | None:
     """Execute chunk ``k``: the one chunk protocol of every executor.
 
-    ``k`` is the chunk's run-wide index.  Serial and thread executors
-    call this in-process with the caller's collectors; a pool worker
-    calls it with its own and drains them into the result.  The chunk
-    draws chaos from its own seeded stream ``"{label}#c{k}"`` and is one
-    profiler window ``(label, k)``, so one seed injects the same faults,
-    and one run records the same windows, whichever executor or worker
-    runs it.  ``None`` means ``should_stop`` fired mid-chunk: the chunk
-    is abandoned and never delivered.
+    ``k`` is the chunk's run-wide index and ``observers`` the
+    ``{kind: observer}`` map it records into.  Serial and thread
+    executors call this in-process with the caller's observers; a pool
+    worker calls it with its own and drains them into the result.  The
+    chunk draws chaos from its own seeded stream ``"{label}#c{k}"`` and
+    is one profiler window ``(label, k)``, so one seed injects the same
+    faults, and one run records the same windows, whichever executor or
+    worker runs it.  ``None`` means ``should_stop`` fired mid-chunk: the
+    chunk is abandoned and never delivered.
     """
     fn = kernel.body
-    injector = None
-    if kernel.chaos is not None:
-        injector = ChaosInjector.from_spec(kernel.chaos)
+    chaos, trace = observers.get("chaos"), observers.get("trace")
+    metrics, profiler = observers.get("metrics"), observers.get("profiler")
+    if chaos is not None:
+        # a fresh injector per chunk: its stream and counts are the
+        # chunk's own, folded into the run's injector once it completes
+        injector = ChaosInjector.from_spec(chaos.spec())
         injector.trace, injector.metrics = trace, metrics
         fn = injector.wrap(fn, name=f"{kernel.label}#c{k}")
     work = (
@@ -821,11 +824,9 @@ def run_chunk(
             )
             if aborted:
                 return None
-    return ChunkResult(
-        k, values, records, counters,
-        injector.stats() if injector is not None else None, failed,
-        spans=None, spans_dropped=0, shm=False, metrics=None, profile=None,
-    )
+    if chaos is not None:
+        chaos.absorb(injector.stats())
+    return ChunkResult(k, values, records, counters, failed)
 
 
 def deliver_chunk(
@@ -834,32 +835,31 @@ def deliver_chunk(
     latency: float | None,
     *,
     label: str,
+    observers: dict[str, Any],
     journal: Any = None,
-    trace: TraceCollector | None = None,
     series: StageSeries | None = None,
-    profiler: SamplingProfiler | None = None,
 ) -> None:
     """Account one delivered chunk: the delivery step of every executor.
 
     The process collector calls it for the first result of a chunk only
     (after its dedup), the in-process executor for every chunk it runs,
-    so each chunk is accounted exactly once: ``chunks_completed``, its
-    element counters and worker-side metric delta, its latency, its
-    profile, and, for a successful chunk, the journal record and its
+    so each chunk is accounted exactly once: its sidecars, absorbed into
+    the run's ``observers``, ``chunks_completed``, its element counters,
+    its latency, and, for a successful chunk, the journal record and its
     ``checkpoint`` instant.  ``series`` is the run's metric series,
     bound once per run by the executor.
     """
+    for kind, delta in chunk.sidecars.items():
+        observers[kind].absorb(delta)
     if series is not None:
         series.inc("chunks_completed")
         series.count_chunk(chunk.counters)
-        series.registry.absorb(chunk.metrics)
         if latency is not None:
             series.observe("chunk_latency_seconds", latency)
-    if profiler is not None:
-        profiler.absorb(chunk.profile)
     if journal is not None and not chunk.failed:
         lo, hi = bounds
         journal.record(chunk.index, lo, hi, chunk.values)
+        trace = observers.get("trace")
         if trace is not None:
             trace.instant("checkpoint", label, lo, chunk=chunk.index)
 
@@ -872,21 +872,15 @@ _GEN_SHIFT = 32
 _GEN_MASK = 0xFFFFFFFF
 
 
-def _load_kernel(kernel_blob: bytes) -> tuple:
-    """Unpickle a kernel blob into ``(Kernel, trace_spec, metrics_spec,
-    profiler_spec)``.  Session workers cache the result per digest — the
-    body (possibly a :class:`ShippedFunction`) is rebuilt once per
-    kernel, not once per call."""
-    (
-        body_blob, policy, chaos_spec, reduce_blob, label,
-        trace_spec, metrics_spec, profiler_spec,
-    ) = pickle.loads(kernel_blob)
+def _load_kernel(kernel_blob: bytes) -> tuple[Kernel, dict[str, Any]]:
+    """Unpickle a kernel blob into ``(Kernel, {kind: observer spec})``.
+    Session workers cache the result per digest — the body (possibly a
+    :class:`ShippedFunction`) is rebuilt once per kernel, not once per
+    call."""
+    body_blob, policy, reduce_blob, label, specs = pickle.loads(kernel_blob)
     body = pickle.loads(body_blob)
     reduce_op = pickle.loads(reduce_blob) if reduce_blob is not None else None
-    return (
-        Kernel(body, policy, chaos_spec, reduce_op, label),
-        trace_spec, metrics_spec, profiler_spec,
-    )
+    return Kernel(body, policy, reduce_op, label), specs
 
 
 def _resolve_input(input_spec: tuple[str, Any]):
@@ -921,7 +915,7 @@ def _serve_call(
     counter,
     result_q,
     stop_flag,
-    loaded: tuple,
+    loaded: tuple[Kernel, dict[str, Any]],
     vals,
     chunks: list[tuple[int, int]],
     out,
@@ -945,32 +939,20 @@ def _serve_call(
     is announced on ``result_q`` before the chunk runs, which is the
     ownership ledger the parent's recovery logic reads.
     """
-    kernel, trace_spec, metrics_spec, profiler_spec = loaded
+    kernel, specs = loaded
     label = kernel.label
-    # decides seeded worker kills only; chunks draw their own streams
-    injector = (
-        ChaosInjector.from_spec(kernel.chaos)
-        if kernel.chaos is not None
-        else None
-    )
-    trace = None
-    if trace_spec is not None:
-        # worker-side collection, drained per chunk: span parity with the
-        # thread backend travels the same road as the error ledger
-        trace = TraceCollector.from_spec(trace_spec)
-        trace.worker_label = f"{label}-w{uid}@pid{os.getpid()}"
-    wmetrics = None
-    if metrics_spec is not None:
-        # same chunked-merge road as spans: collect locally, drain per
-        # chunk, let the parent's first-result-wins dedup keep totals
-        # exactly-once under respawn/hedge duplicates
-        wmetrics = MetricsRegistry.from_spec(metrics_spec)
-    wprofiler = None
-    if profiler_spec is not None:
-        # worker-side sampling, drained per chunk: the samples take the
-        # same chunked road as spans/metrics and inherit its dedup
-        wprofiler = SamplingProfiler.from_spec(profiler_spec)
-        wprofiler.worker_label = f"{label}-w{uid}@pid{os.getpid()}"
+    # worker-side observers, drained after every chunk: the parent's
+    # first-result-wins dedup then keeps each kind exactly-once under
+    # respawn/hedge duplicates, as it does the values and the ledger
+    observers = {
+        kind: OBSERVERS[kind].from_spec(spec) for kind, spec in specs.items()
+    }
+    for observer in observers.values():
+        if hasattr(observer, "worker_label"):
+            # every pool worker's thread is "MainThread": name the process
+            observer.worker_label = f"{label}-w{uid}@pid{os.getpid()}"
+    # the run's chaos also decides seeded worker kills
+    injector = observers.get("chaos")
 
     should_stop = stop_flag.is_set
     skip_set = frozenset(skip)
@@ -1027,8 +1009,7 @@ def _serve_call(
             result_q.join_thread()
             os.kill(os.getpid(), signal.SIGKILL)
         chunk = run_chunk(
-            kernel, k, chunks[k], vals, should_stop,
-            trace=trace, metrics=wmetrics, profiler=wprofiler,
+            kernel, k, chunks[k], vals, should_stop, observers=observers,
         )
         if chunk is None:
             break
@@ -1036,12 +1017,9 @@ def _serve_call(
             (seq, _shippable_error(error), attempts, action)
             for seq, error, attempts, action in chunk.records
         ]
-        if wmetrics is not None:
-            chunk.metrics = wmetrics.drain()
-        if wprofiler is not None:
-            chunk.profile = wprofiler.drain()
-        if trace is not None:
-            chunk.spans, chunk.spans_dropped = trace.drain()
+        chunk.sidecars = {
+            kind: observer.drain() for kind, observer in observers.items()
+        }
         lo, hi = chunks[k]
         if (
             out is not None
@@ -1481,9 +1459,7 @@ def run_process_chunks(
     hedge: float = 0.0,
     hedge_min_samples: int = 3,
     completed: frozenset[int] = frozenset(),
-    trace: TraceCollector | None = None,
-    metrics: MetricsRegistry | None = None,
-    profiler: SamplingProfiler | None = None,
+    observers: dict[str, Any] | None = None,
     label: str = "loop",
     checkpoint: Any = None,
     out_values: Any = None,
@@ -1517,12 +1493,13 @@ def run_process_chunks(
       duplicate dispatch.
     * ``completed`` chunk indices (a resumed run's journal) are never
       executed; every first result goes through :func:`deliver_chunk`,
-      which feeds ``checkpoint`` (a duck-typed ``record(k, lo, hi,
-      values)``) each successful chunk *as it is delivered*, so a kill
-      mid-run loses at most the in-flight chunks.
+      which absorbs its sidecars into ``observers`` (the run's
+      ``{kind: observer}`` map) and feeds ``checkpoint`` (a duck-typed
+      ``record(k, lo, hi, values)``) each successful chunk *as it is
+      delivered*, so a kill mid-run loses at most the in-flight chunks.
     * Recovery decisions are returned as :attr:`ProcessRun.recovery` and
       mirrored as ``respawn``/``redispatch``/``hedge``/``checkpoint``
-      spans on ``trace``.
+      spans on the ``trace`` observer.
     * ``out_values`` is the parent-side shared output region a chunk
       flagged ``shm`` is materialized from at absorb time.
     """
@@ -1536,6 +1513,8 @@ def run_process_chunks(
     session = session or _one_call_session(nworkers)
     result_q, stop_flag = session.result_q, session.stop_flag
 
+    observers = observers or {}
+    trace, metrics = observers.get("trace"), observers.get("metrics")
     series = StageSeries(metrics, label) if metrics is not None else None
     delivered: dict[int, ChunkResult] = {}
     fatal: list[str] = []
@@ -1618,9 +1597,8 @@ def run_process_chunks(
             if k in delivered or k in skip:
                 # at-least-once dedup: a hedge loser or a redispatch
                 # duplicate — the first result won; dropping the loser
-                # whole (values, counters, chaos deltas, spans, metric
-                # deltas, samples) keeps parent-side accounting
-                # exactly-once: completed - deduped = n_chunks
+                # whole (values, counters, sidecars) keeps parent-side
+                # accounting exactly-once: completed - deduped = n_chunks
                 if series is not None:
                     series.inc("chunks_completed")
                     series.inc("chunks_deduped")
@@ -1637,8 +1615,8 @@ def run_process_chunks(
                 latencies.append(latency)
                 chunk_latency[k] = latency
             deliver_chunk(
-                chunk, bounds[k], latency, label=label, journal=checkpoint,
-                trace=trace, series=series, profiler=profiler,
+                chunk, bounds[k], latency, label=label, observers=observers,
+                journal=checkpoint, series=series,
             )
         elif tag == "claim":
             _tag, uid, k, att, _gen = message
@@ -1903,7 +1881,7 @@ def run_process_chunks(
                             "delivered": 0, "retried": 0, "skipped": 0,
                             "fallbacks": 0, "failed": hi - lo,
                         },
-                        None, True, None, 0, False, None, None,
+                        True,
                     )
     finally:
         stop_flag.set()  # live workers stop claiming; hedge losers unwind

@@ -215,6 +215,21 @@ class ChaosInjector:
     def from_spec(cls, spec: dict[str, Any]) -> "ChaosInjector":
         return cls(**spec)
 
+    def drain(self) -> dict[str, int]:
+        """The counts since the last drain, as a delta; reset them.
+
+        The worker-side half of the per-chunk merge: a pool worker
+        drains after each chunk, so the delta is that chunk's counts.
+        """
+        with self._lock:
+            delta = {
+                "calls": self.calls,
+                "injected_failures": self.injected_failures,
+                "injected_delays": self.injected_delays,
+            }
+            self.calls = self.injected_failures = self.injected_delays = 0
+        return delta
+
     def absorb(self, delta: dict[str, int]) -> None:
         """Fold a worker's counter deltas into this (parent) injector."""
         with self._lock:

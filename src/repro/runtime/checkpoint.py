@@ -78,6 +78,17 @@ class CheckpointError(RuntimeError):
     """A journal cannot be used for this run (shape mismatch, bad file)."""
 
 
+def _flush_mode(flush: str) -> str:
+    """``flush`` if it names a flush discipline, else raise.  Checked
+    before a constructor touches the file, so a bad mode leaves an
+    existing journal as it was and no handle open."""
+    if flush not in FLUSH_MODES:
+        raise CheckpointError(
+            f"flush mode must be one of {FLUSH_MODES}, got {flush!r}"
+        )
+    return flush
+
+
 def _frame(payload: bytes) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
@@ -129,16 +140,12 @@ class ChunkJournal:
         completed: dict[int, dict[str, Any]],
         flush: str = "chunk",
     ) -> None:
-        if flush not in FLUSH_MODES:
-            raise CheckpointError(
-                f"flush mode must be one of {FLUSH_MODES}, got {flush!r}"
-            )
+        self.flush_mode = _flush_mode(flush)
         self.path = Path(path)
         self._fh = fh
         self._shape = shape
         self._completed = completed
         self._lock = threading.Lock()
-        self.flush_mode = flush
         self._pending = 0
         self._pending_since = 0.0
         #: chunk index -> (lo, hi) bounds planned by a variable-size
@@ -174,6 +181,7 @@ class ChunkJournal:
         kill mid-batch loses only unflushed *whole* records plus at most
         one torn frame, which :meth:`resume` discards by checksum.
         """
+        _flush_mode(flush)
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(path, "wb")
@@ -189,6 +197,7 @@ class ChunkJournal:
         truncated away, so the journal is well-formed before any new
         record lands.
         """
+        _flush_mode(flush)
         path = Path(path)
         try:
             raw = path.read_bytes()

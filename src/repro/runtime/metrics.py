@@ -36,8 +36,9 @@ snapshot as OpenMetrics v1 text (``# TYPE``/``# HELP`` framing,
 terminator).  :func:`parse_openmetrics` round-trips the samples, so CI
 can assert exports without a Prometheus install.
 
-Kept stdlib-only and import-free within the runtime package so every
-runtime module can use it without cycles.
+Kept stdlib-only, importing within the runtime package only the
+stdlib-only :mod:`repro.runtime.observe`, so every runtime module can
+use it without cycles.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ import bisect
 import re
 import threading
 import time
-from typing import Any, Iterable
+from typing import Any, ContextManager, Iterable
 
-#: canonical tuning-parameter name (sibling of Trace/Backend/...)
-METRICS = "Metrics"
+from repro.runtime.observe import Channel
 
 #: the JSON snapshot schema tag
 SNAPSHOT_SCHEMA = "repro_metrics/v1"
@@ -596,59 +596,25 @@ class StageSeries:
 
 
 # ---------------------------------------------------------------------------
-# the active session (the --metrics-out CLI path)
+# the session channel (the --metrics-out CLI path)
 # ---------------------------------------------------------------------------
 
-_ACTIVE: list[MetricsRegistry] = []
-_ACTIVE_LOCK = threading.Lock()
-_LAST: MetricsRegistry | None = None
+_CHANNEL = Channel(MetricsRegistry)
+active_registry = _CHANNEL.active
+set_last_metrics = _CHANNEL.set_last
+last_metrics = _CHANNEL.last
 
 
-class metrics_session:
+def metrics_session(
+    registry: MetricsRegistry | None = None,
+) -> ContextManager[MetricsRegistry]:
     """Context manager: every supervised run inside records metrics.
 
     Sessions nest (innermost wins) and are process-wide, not
     thread-local — stage workers spawned by a measured run must see the
-    registry.  Mirrors :class:`repro.runtime.trace.trace_session`.
+    registry.
     """
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        # `or` would discard an explicitly passed *empty* registry
-        # (__len__ makes it falsy); only None means "build one"
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    def __enter__(self) -> MetricsRegistry:
-        with _ACTIVE_LOCK:
-            _ACTIVE.append(self.registry)
-        return self.registry
-
-    def __exit__(self, *exc: Any) -> None:
-        global _LAST
-        with _ACTIVE_LOCK:
-            try:
-                _ACTIVE.remove(self.registry)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            _LAST = self.registry
-
-
-def active_registry() -> MetricsRegistry | None:
-    """The innermost active session's registry, if any."""
-    with _ACTIVE_LOCK:
-        return _ACTIVE[-1] if _ACTIVE else None
-
-
-def set_last_metrics(registry: MetricsRegistry) -> None:
-    """Publish a registry created outside a session (``Metrics@loop``)."""
-    global _LAST
-    with _ACTIVE_LOCK:
-        _LAST = registry
-
-
-def last_metrics() -> MetricsRegistry | None:
-    """The most recent session / ``Metrics@...``-run registry."""
-    with _ACTIVE_LOCK:
-        return _LAST
+    return _CHANNEL.session(registry)
 
 
 def resolve_registry(
@@ -662,13 +628,4 @@ def resolve_registry(
     ``None`` when metrics are off: the disabled path is one ``is None``
     check.
     """
-    if explicit is not None:
-        return explicit
-    session = active_registry()
-    if session is not None:
-        return session
-    if enabled:
-        registry = MetricsRegistry()
-        set_last_metrics(registry)
-        return registry
-    return None
+    return _CHANNEL.resolve(explicit, enabled)

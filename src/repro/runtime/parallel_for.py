@@ -17,9 +17,9 @@ engine (:func:`_engine`):
 * **chunk kernel** — :func:`~repro.runtime.backend.run_chunk` per
   descriptor: chaos stream, profiler window, fault policy, spans;
 * **deliver** — :func:`~repro.runtime.backend.deliver_chunk` per chunk:
-  counters, latency, profile, journal record;
+  a pool worker's observer sidecars, counters, latency, journal record;
 * **assemble** — :func:`_assemble_process_run` once per call: values,
-  ledger, chaos counts, spans, and the error to raise.
+  ledger, and the error to raise.
 
 The backends differ only in who runs the kernel: ``serial`` in the
 calling thread, ``thread`` on claiming threads, ``process`` on a
@@ -176,7 +176,6 @@ def _assemble_process_run(
     chunks: Sequence[tuple[int, int]],
     results: list[Any] | dict[int, Any],
     ledger: list[ErrorRecord] | None,
-    chaos: ChaosInjector | None,
     cancel: CancellationToken | None,
     trace: TraceCollector | None = None,
     stage: str = "loop",
@@ -186,8 +185,8 @@ def _assemble_process_run(
 
     Every executor returns a :class:`~repro.runtime.backend.ProcessRun`.
     In chunk order, each chunk's values fill ``results`` from its first
-    element's slot on, its records extend the ledger, and its chaos
-    counts and worker-side spans are absorbed.  Then the call raises, in
+    element's slot on and its records extend the ledger (its sidecars
+    were absorbed when it was delivered).  Then the call raises, in
     priority order: the first failed chunk's error, cancellation, then
     pool-infrastructure failure.
     """
@@ -200,10 +199,6 @@ def _assemble_process_run(
                 ledger.append(ErrorRecord(stage, seq, error, attempts))
             if action == "failed" and first_error is None:
                 first_error = error
-        if chaos is not None and chunk.chaos:
-            chaos.absorb(chunk.chaos)
-        if trace is not None and chunk.spans is not None:
-            trace.absorb(chunk.spans, chunk.spans_dropped)
     if first_error is not None:
         raise first_error
     if cancel is not None and cancel.cancelled:
@@ -235,9 +230,7 @@ def _run_in_process(
     skip: frozenset[int],
     journal: ChunkJournal | None,
     cancel: CancellationToken | None,
-    trace: TraceCollector | None,
-    metrics: MetricsRegistry | None,
-    profiler: SamplingProfiler | None,
+    observers: dict[str, Any],
 ) -> ProcessRun:
     """Execute a plan in this process: the serial and thread executor.
 
@@ -245,12 +238,14 @@ def _run_in_process(
     the calling thread, or on up to ``width`` claiming threads
     (round-robin stripes under ``static``, a shared counter otherwise) —
     and hands each chunk to
-    :func:`~repro.runtime.backend.deliver_chunk` as it completes.  A
-    failed chunk, a fired ``cancel`` or an escaping exception stops every
-    thread from claiming more.  Nothing is pickled.
+    :func:`~repro.runtime.backend.deliver_chunk` as it completes.  The
+    chunks record straight into ``observers``.  A failed chunk, a fired
+    ``cancel`` or an escaping exception stops every thread from claiming
+    more.  Nothing is pickled.
     """
     todo = [k for k in range(len(bounds)) if k not in skip]
     width = max(1, min(width, len(todo))) if threads else 1
+    metrics = observers.get("metrics")
     series = (
         StageSeries(metrics, kernel.label) if metrics is not None else None
     )
@@ -276,7 +271,7 @@ def _run_in_process(
                 started = time.monotonic()
                 chunk = run_chunk(
                     kernel, k, bounds[k], vals, stopped, cancel=cancel,
-                    trace=trace, metrics=metrics, profiler=profiler,
+                    observers=observers,
                 )
                 if chunk is None:
                     return
@@ -285,8 +280,8 @@ def _run_in_process(
                     halt.set()
                 deliver_chunk(
                     chunk, bounds[k], time.monotonic() - started,
-                    label=kernel.label, journal=journal, trace=trace,
-                    series=series, profiler=profiler,
+                    label=kernel.label, observers=observers,
+                    journal=journal, series=series,
                 )
         except BaseException as exc:
             errors.append(exc)
@@ -429,10 +424,15 @@ def _engine(
     if live <= 0:
         return results
     width = min(workers, live)
-    kernel = Kernel(
-        body, policy, chaos.spec() if chaos is not None else None,
-        reduce_op, label,
-    )
+    kernel = Kernel(body, policy, reduce_op, label)
+    observers = {
+        kind: observer
+        for kind, observer in (
+            ("chaos", chaos), ("trace", trace),
+            ("metrics", metrics), ("profiler", profiler),
+        )
+        if observer is not None
+    }
 
     with contextlib.ExitStack() as stack:
         run = None
@@ -453,9 +453,8 @@ def _engine(
                         stack.callback(shm_out.dispose)
                         out_spec = shm_out.spec()
             payload, reason = build_process_payload(
-                body, vals, plan, policy=policy, chaos=chaos,
-                reduce_op=reduce_op, label=label, trace=trace,
-                metrics=metrics, profiler=profiler,
+                body, vals, plan, policy=policy, reduce_op=reduce_op,
+                label=label, observers=observers,
                 input_spec=input_spec, out_spec=out_spec,
             )
             if payload is None:
@@ -471,21 +470,20 @@ def _engine(
                 run = run_process_chunks(
                     payload, plan, workers=width, schedule=schedule,
                     cancel=cancel, max_restarts=restarts, hedge=hedge,
-                    completed=skip, trace=trace, metrics=metrics,
-                    profiler=profiler, label=label, checkpoint=checkpoint,
-                    out_values=shm_out, session=session,
+                    completed=skip, observers=observers, label=label,
+                    checkpoint=checkpoint, out_values=shm_out,
+                    session=session,
                 )
         if run is None:
             run = _run_in_process(
                 kernel, vals, plan, width=width,
                 threads=backend != "serial", schedule=schedule, skip=skip,
-                journal=checkpoint, cancel=cancel, trace=trace,
-                metrics=metrics, profiler=profiler,
+                journal=checkpoint, cancel=cancel, observers=observers,
             )
         if recovery is not None:
             recovery.extend(run.recovery)
         _assemble_process_run(
-            run, plan, results, ledger, chaos, cancel,
+            run, plan, results, ledger, cancel,
             trace=trace, stage=label, completed=skip,
         )
     return results

@@ -73,6 +73,14 @@ _DEFAULT_POLICY = FaultPolicy()
 #: fault-policy keys tolerated for sibling-pattern targets in shared files
 _LOOP_TARGETS = ("loop", "workers")
 
+#: observer knob -> (the ``Pipeline`` attribute holding the run's
+#: observer, the observer's type, the resolver applying session and knob)
+_OBSERVER_KNOBS = {
+    "Trace": ("trace", TraceCollector, resolve_collector),
+    "Metrics": ("metrics", MetricsRegistry, resolve_registry),
+    "Profile": ("profile", SamplingProfiler, resolve_profiler),
+}
+
 
 class PipelineError(RuntimeError):
     """One or more stages failed; carries the full error report.
@@ -224,20 +232,16 @@ class Pipeline:
         self.output: list[Any] = []
         self._fusions: set[str] = set()
         self.stats: dict[str, Any] = {}
-        #: a collector, True (build one per run), or None (session/off);
-        #: also settable through the ``Trace@pipeline`` tuning parameter
-        self._trace_request: TraceCollector | bool | None = trace
-        #: the collector of the most recent run (None when tracing off)
+        #: per observer attribute: an observer, True (build one per
+        #: run), or None (session/off); also settable through the
+        #: ``Trace@pipeline``/``Metrics@pipeline``/``Profile@pipeline``
+        #: tuning parameters
+        self._requests: dict[str, Any] = {
+            "trace": trace, "metrics": metrics, "profile": profile,
+        }
+        #: the observers of the most recent run (None when that kind is off)
         self.trace: TraceCollector | None = None
-        #: a registry, True (build one per run), or None (session/off);
-        #: also settable through the ``Metrics@pipeline`` tuning parameter
-        self._metrics_request: MetricsRegistry | bool | None = metrics
-        #: the registry of the most recent run (None when metrics off)
         self.metrics: MetricsRegistry | None = None
-        #: a profiler, True (build one per run), or None (session/off);
-        #: also settable through the ``Profile@pipeline`` tuning parameter
-        self._profile_request: SamplingProfiler | bool | None = profile
-        #: the profiler of the most recent run (None when profiling off)
         self.profile: SamplingProfiler | None = None
         self._injector: Any = None
 
@@ -334,46 +338,18 @@ class Pipeline:
                     if value not in ("fail_fast", "skip", "fallback"):
                         raise ValueError(f"invalid OnError value {value!r}")
                     policy.on_error = str(value)
-            elif pname == "Backend":
-                if target == "pipeline":
+            elif pname == "Backend" or pname in _OBSERVER_KNOBS:
+                if target in _LOOP_TARGETS:
+                    continue  # a sibling pattern's knob; tolerated
+                if target != "pipeline":
+                    raise KeyError(
+                        f"{pname} targets the whole pipeline "
+                        f"('{pname}@pipeline'), got {key!r}"
+                    )
+                if pname == "Backend":
                     self.backend = normalize_backend(value)
-                elif target in _LOOP_TARGETS:
-                    continue  # a sibling pattern's backend; tolerated
                 else:
-                    raise KeyError(
-                        f"Backend targets the whole pipeline "
-                        f"('Backend@pipeline'), got {key!r}"
-                    )
-            elif pname == "Trace":
-                if target == "pipeline":
-                    self._trace_request = bool(value)
-                elif target in _LOOP_TARGETS:
-                    continue  # a sibling pattern's trace knob; tolerated
-                else:
-                    raise KeyError(
-                        f"Trace targets the whole pipeline "
-                        f"('Trace@pipeline'), got {key!r}"
-                    )
-            elif pname == "Metrics":
-                if target == "pipeline":
-                    self._metrics_request = bool(value)
-                elif target in _LOOP_TARGETS:
-                    continue  # a sibling pattern's metrics knob; tolerated
-                else:
-                    raise KeyError(
-                        f"Metrics targets the whole pipeline "
-                        f"('Metrics@pipeline'), got {key!r}"
-                    )
-            elif pname == "Profile":
-                if target == "pipeline":
-                    self._profile_request = bool(value)
-                elif target in _LOOP_TARGETS:
-                    continue  # a sibling pattern's profile knob; tolerated
-                else:
-                    raise KeyError(
-                        f"Profile targets the whole pipeline "
-                        f"('Profile@pipeline'), got {key!r}"
-                    )
+                    self._requests[_OBSERVER_KNOBS[pname][0]] = bool(value)
             elif pname in ("NumWorkers", "ChunkSize", "Schedule"):
                 continue  # parameters of sibling patterns; tolerated in shared files
             else:
@@ -385,46 +361,28 @@ class Pipeline:
         for el in self.elements:
             injector.wrap_item(el)
 
-    def _resolve_trace(self) -> TraceCollector | None:
-        """The collector this run records into (None = tracing off)."""
-        explicit = (
-            self._trace_request
-            if isinstance(self._trace_request, TraceCollector)
-            else None
-        )
-        trace = resolve_collector(explicit, enabled=self._trace_request is True)
-        self.trace = trace
-        if trace is not None and self._injector is not None:
-            self._injector.trace = trace
-        return trace
+    def _resolve_observers(
+        self,
+    ) -> tuple[TraceCollector | None, MetricsRegistry | None,
+               SamplingProfiler | None]:
+        """This run's ``(trace, metrics, profiler)``; None = that kind off.
 
-    def _resolve_metrics(self) -> MetricsRegistry | None:
-        """The registry this run counts into (None = metrics off)."""
-        explicit = (
-            self._metrics_request
-            if isinstance(self._metrics_request, MetricsRegistry)
-            else None
-        )
-        metrics = resolve_registry(
-            explicit, enabled=self._metrics_request is True
-        )
-        self.metrics = metrics
-        if metrics is not None and self._injector is not None:
-            self._injector.metrics = metrics
-        return metrics
-
-    def _resolve_profile(self) -> SamplingProfiler | None:
-        """The profiler this run samples into (None = profiling off)."""
-        explicit = (
-            self._profile_request
-            if isinstance(self._profile_request, SamplingProfiler)
-            else None
-        )
-        profiler = resolve_profiler(
-            explicit, enabled=self._profile_request is True
-        )
-        self.profile = profiler
-        return profiler
+        Each is the requested observer, else the kind's active session,
+        else a fresh one when its knob is on.  A chaos injector fires
+        into the run's trace and metrics.
+        """
+        for attr, kind, resolve in _OBSERVER_KNOBS.values():
+            request = self._requests[attr]
+            setattr(self, attr, resolve(
+                request if isinstance(request, kind) else None,
+                enabled=request is True,
+            ))
+        if self._injector is not None:
+            if self.trace is not None:
+                self._injector.trace = self.trace
+            if self.metrics is not None:
+                self._injector.metrics = self.metrics
+        return self.trace, self.metrics, self.profile
 
     def _effective_elements(self) -> list[Element]:
         """Apply StageFusion pairs to the element list."""
@@ -486,9 +444,7 @@ class Pipeline:
         threaded path (a policy must not change meaning under
         ``SequentialExecution``)."""
         self.backend_events = []
-        trace = self._resolve_trace()
-        metrics = self._resolve_metrics()
-        profiler = self._resolve_profile()
+        trace, metrics, profiler = self._resolve_observers()
         counters = {el.name: StageCounters() for el in elements}
         records: list[ErrorRecord] = []
         generated = 0
@@ -599,9 +555,7 @@ class Pipeline:
 
     def _stream_threaded(self, values, elements: list[Element]):
         self.backend_events = []
-        trace = self._resolve_trace()
-        metrics = self._resolve_metrics()
-        profiler = self._resolve_profile()
+        trace, metrics, profiler = self._resolve_observers()
         # every stage worker comes from the backend seam, so lifting
         # whole stages onto processes later is a factory change, not a
         # pipeline rewrite; a requested process backend records its

@@ -35,7 +35,9 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, ContextManager
+
+from repro.runtime.observe import Channel
 
 #: default sampling rate — a prime Hz so the sampler cannot phase-lock
 #: onto millisecond-periodic workloads and oversample one line
@@ -599,63 +601,27 @@ def decompose(
 
 
 # ---------------------------------------------------------------------------
-# the active session (the --profile CLI path)
+# the session channel (the --profile CLI path)
 # ---------------------------------------------------------------------------
 
-_ACTIVE: list[SamplingProfiler] = []
-_ACTIVE_LOCK = threading.Lock()
-_LAST: SamplingProfiler | None = None
+#: a closing session stops its profiler's sampler
+_CHANNEL = Channel(SamplingProfiler, finish=lambda profiler: profiler.stop())
+active_profiler = _CHANNEL.active
+set_last_profile = _CHANNEL.set_last
+last_profile = _CHANNEL.last
 
 
-class profile_session:
+def profile_session(
+    hz: float = DEFAULT_HZ,
+    profiler: SamplingProfiler | None = None,
+) -> ContextManager[SamplingProfiler]:
     """Context manager: every supervised run inside is sampled.
 
-    Sessions nest (innermost wins) and are process-wide, mirroring
-    :class:`repro.runtime.trace.trace_session`.
+    Sessions nest (innermost wins) and are process-wide, like
+    :func:`repro.runtime.trace.trace_session`; a closing session stops
+    its profiler.
     """
-
-    def __init__(
-        self,
-        hz: float = DEFAULT_HZ,
-        profiler: SamplingProfiler | None = None,
-    ) -> None:
-        self.profiler = (
-            profiler if profiler is not None else SamplingProfiler(hz)
-        )
-
-    def __enter__(self) -> SamplingProfiler:
-        with _ACTIVE_LOCK:
-            _ACTIVE.append(self.profiler)
-        return self.profiler
-
-    def __exit__(self, *exc: Any) -> None:
-        global _LAST
-        with _ACTIVE_LOCK:
-            try:
-                _ACTIVE.remove(self.profiler)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            _LAST = self.profiler
-        self.profiler.stop()
-
-
-def active_profiler() -> SamplingProfiler | None:
-    """The innermost active session's profiler, if any."""
-    with _ACTIVE_LOCK:
-        return _ACTIVE[-1] if _ACTIVE else None
-
-
-def set_last_profile(profiler: SamplingProfiler) -> None:
-    """Publish a profiler created outside a session (``Profile@loop``)."""
-    global _LAST
-    with _ACTIVE_LOCK:
-        _LAST = profiler
-
-
-def last_profile() -> SamplingProfiler | None:
-    """The most recent session / ``Profile@...``-run profiler."""
-    with _ACTIVE_LOCK:
-        return _LAST
+    return _CHANNEL.session(profiler, hz)
 
 
 def resolve_profiler(
@@ -671,13 +637,4 @@ def resolve_profiler(
     means profiling is off: the disabled path is one ``is None`` check
     per chunk.
     """
-    if explicit is not None:
-        return explicit
-    session = active_profiler()
-    if session is not None:
-        return session
-    if enabled:
-        profiler = SamplingProfiler(hz)
-        set_last_profile(profiler)
-        return profiler
-    return None
+    return _CHANNEL.resolve(explicit, enabled, hz)

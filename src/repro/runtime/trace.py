@@ -49,8 +49,9 @@ loadable in Perfetto / ``chrome://tracing``; ``PipelineStallError``
 carries the last-N spans per stage so a stall diagnosis shows *history*,
 not just the final occupancy snapshot.
 
-Kept stdlib-only and import-free within the runtime package so every
-runtime module can use it without cycles.
+Kept stdlib-only, importing within the runtime package only the
+stdlib-only :mod:`repro.runtime.observe`, so every runtime module can
+use it without cycles.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, ContextManager, Iterable
+
+from repro.runtime.observe import Channel
 
 #: the span kinds, in rough pipeline order
 KINDS = (
@@ -84,9 +87,6 @@ KINDS = (
     QUEUE_WAIT, EXECUTE, RETRY, BACKOFF, TIMEOUT, CHAOS, CANCEL, FALLBACK,
     RESPAWN, REDISPATCH, HEDGE, CHECKPOINT,
 ) = KINDS
-
-#: canonical tuning-parameter name (sibling of Retries/Backend/...)
-TRACE = "Trace"
 
 #: default ring-buffer capacity (spans, not bytes)
 DEFAULT_CAPACITY = 16384
@@ -396,9 +396,11 @@ class TraceCollector:
         return [_span(r).as_dict() for r in records], dropped
 
     def absorb(
-        self, span_dicts: Iterable[dict[str, Any]], dropped: int = 0
+        self, delta: tuple[Iterable[dict[str, Any]], int]
     ) -> None:
-        """Fold a worker's drained spans into this (parent) collector."""
+        """Fold a worker's drained ``(spans, dropped)`` into this
+        (parent) collector: exactly what :meth:`drain` returned."""
+        span_dicts, dropped = delta
         self._push(
             (
                 d["kind"], d["stage"], int(d["seq"]), float(d["start"]),
@@ -591,15 +593,19 @@ def bottleneck(summary: dict[str, Any]) -> tuple[str, float] | None:
 
 
 # ---------------------------------------------------------------------------
-# the active session (the --trace CLI path)
+# the session channel (the --trace CLI path)
 # ---------------------------------------------------------------------------
 
-_ACTIVE: list[TraceCollector] = []
-_ACTIVE_LOCK = threading.Lock()
-_LAST: TraceCollector | None = None
+_CHANNEL = Channel(TraceCollector)
+active_collector = _CHANNEL.active
+set_last = _CHANNEL.set_last
+last_trace = _CHANNEL.last
 
 
-class trace_session:
+def trace_session(
+    capacity: int = DEFAULT_CAPACITY,
+    collector: TraceCollector | None = None,
+) -> ContextManager[TraceCollector]:
     """Context manager: every supervised run inside records spans.
 
     >>> with trace_session() as collector:
@@ -610,50 +616,7 @@ class trace_session:
     Sessions nest (innermost wins) and are process-wide, not thread-local
     — stage workers spawned by a traced run must see the collector.
     """
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        collector: TraceCollector | None = None,
-    ) -> None:
-        # `or` would discard an explicitly passed *empty* collector
-        # (__len__ makes it falsy); only None means "build one"
-        self.collector = (
-            collector if collector is not None else TraceCollector(capacity)
-        )
-
-    def __enter__(self) -> TraceCollector:
-        with _ACTIVE_LOCK:
-            _ACTIVE.append(self.collector)
-        return self.collector
-
-    def __exit__(self, *exc: Any) -> None:
-        global _LAST
-        with _ACTIVE_LOCK:
-            try:
-                _ACTIVE.remove(self.collector)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            _LAST = self.collector
-
-
-def active_collector() -> TraceCollector | None:
-    """The innermost active session's collector, if any."""
-    with _ACTIVE_LOCK:
-        return _ACTIVE[-1] if _ACTIVE else None
-
-
-def set_last(collector: TraceCollector) -> None:
-    """Publish a collector created outside a session (``Trace@loop``)."""
-    global _LAST
-    with _ACTIVE_LOCK:
-        _LAST = collector
-
-
-def last_trace() -> TraceCollector | None:
-    """The most recently finished session / ``Trace@...``-run collector."""
-    with _ACTIVE_LOCK:
-        return _LAST
+    return _CHANNEL.session(collector, capacity)
 
 
 def resolve_collector(
@@ -668,16 +631,7 @@ def resolve_collector(
     collector (published via :func:`set_last`).  Returns ``None`` when
     tracing is off: the disabled path is one ``is None`` check.
     """
-    if explicit is not None:
-        return explicit
-    session = active_collector()
-    if session is not None:
-        return session
-    if enabled:
-        collector = TraceCollector(capacity)
-        set_last(collector)
-        return collector
-    return None
+    return _CHANNEL.resolve(explicit, enabled, capacity)
 
 
 # ---------------------------------------------------------------------------

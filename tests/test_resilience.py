@@ -21,6 +21,8 @@ from repro.runtime import (
     parallel_reduce,
 )
 from repro.runtime.checkpoint import MAGIC
+from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.profiler import SamplingProfiler
 from repro.runtime.trace import TraceCollector
 
 
@@ -53,6 +55,36 @@ def slow_once(x, marker="", victim=5, delay=4.0):
         if not path.exists():
             path.write_text("slow")
             time.sleep(delay)
+    return x * x
+
+
+def _await_marker(path: pathlib.Path, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def finish_zero_twice(x, markers="", last=11):
+    """Make element 0's chunk finish twice, its first run last.
+
+    The run that creates the ``first`` marker is chunk 0's first run; it
+    returns only after the other run (its hedge copy) has returned.  The
+    ``last`` element waits for that first run, so the duplicate reaches
+    the parent before every chunk is delivered and the call ends.
+    """
+    root = pathlib.Path(markers)
+    if x == 0:
+        try:
+            os.close(os.open(root / "first", os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            (root / "copy-done").touch()
+            return x * x
+        _await_marker(root / "copy-done")
+        time.sleep(0.2)  # the copy's result reaches the parent first
+        (root / "first-done").touch()
+    elif x == last:
+        _await_marker(root / "first-done")
+        time.sleep(0.2)  # chunk 0's duplicate reaches the parent first
     return x * x
 
 
@@ -151,6 +183,19 @@ class TestJournal:
     def test_flush_mode_validated(self, tmp_path):
         with pytest.raises(CheckpointError, match="flush mode"):
             ChunkJournal.create(tmp_path / "x.journal", flush="sometimes")
+        # a bad mode is refused before the file is touched: neither
+        # create's truncation nor resume's torn-tail repair may run
+        path = tmp_path / "run.journal"
+        with ChunkJournal.create(path) as j:
+            j.bind(4, 2, "loop")
+            j.record(0, 0, 2, [0, 1])
+        with open(path, "ab") as fh:
+            fh.write(b"\x42\x00\x00\x00\x99")  # a torn tail
+        before = path.read_bytes()
+        for reopen in (ChunkJournal.create, ChunkJournal.resume):
+            with pytest.raises(CheckpointError, match="flush mode"):
+                reopen(path, flush="sometimes")
+            assert path.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +274,32 @@ class TestHedge:
         assert "hedge" in [e.kind for e in recovery]
         # first-result-wins: the run finishes long before the 4s sleeper
         assert wall < 3.5
+
+    def test_duplicate_chunk_drops_every_sidecar(self, tmp_path):
+        # a hedge loser's chaos counts, spans, metric delta and samples
+        # are dropped with its values: every observer counts chunk 0 once
+        chaos = ChaosInjector(seed=3)
+        trace = TraceCollector()
+        metrics = MetricsRegistry()
+        profiler = SamplingProfiler(hz=200.0)
+        body = functools.partial(finish_zero_twice, markers=str(tmp_path))
+        try:
+            out = parallel_for(
+                range(12), body, workers=3, chunk_size=1,
+                backend="process", hedge=0.5, chaos=chaos, trace=trace,
+                metrics=metrics, profiler=profiler,
+            )
+        finally:
+            profiler.stop()
+        assert out == [x * x for x in range(12)]
+        deduped = metrics.total("chunks_deduped")
+        assert deduped >= 1
+        assert metrics.total("chunks_completed") - deduped == 12
+        assert chaos.stats()["calls"] == 12
+        executed = [s.seq for s in trace.spans() if s.kind == "execute"]
+        assert sorted(executed) == list(range(12))
+        windows = [r["chunk"] for r in profiler.work_records()]
+        assert sorted(windows) == list(range(12))
 
     def test_hedge_validated(self):
         from repro.runtime.backend import TuningError

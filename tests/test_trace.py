@@ -125,7 +125,7 @@ class TestCollector:
         assert len(worker) == 0 and worker.dropped == 0
 
         parent = TraceCollector()
-        parent.absorb(dicts, dropped)
+        parent.absorb((dicts, dropped))
         assert len(parent) == 4
         assert parent.dropped == 2
         assert all(s.worker == "loop-w0@pid1" for s in parent.spans())
@@ -596,7 +596,7 @@ class TestTraceParameter:
         # a collector for it
         import repro.runtime.trace as trace_mod
 
-        trace_mod._LAST = None
+        trace_mod.set_last(None)
         configured_parallel_for(range(3), double, {"Trace@loop": False})
         assert last_trace() is None
 
