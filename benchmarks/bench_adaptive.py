@@ -63,7 +63,7 @@ def _timed(vals, *, workers, chunk_size, schedule, repeats=1):
         out = parallel_for(
             vals, triangular,
             workers=workers, chunk_size=chunk_size, schedule=schedule,
-            backend="process", reuse=True,
+            backend="process",
         )
         best = min(best, time.perf_counter() - started)
     assert out == [triangular(v) for v in vals], f"{schedule}: parity"
@@ -171,7 +171,7 @@ def _smoke(workers: int) -> dict:
             got = parallel_for(
                 vals, triangular, workers=workers,
                 chunk_size=max(1, len(vals) // workers),
-                schedule=schedule, backend="process", reuse=True,
+                schedule=schedule, backend="process",
             )
             assert got == expect, schedule
     finally:

@@ -1,17 +1,17 @@
-"""Data-plane cost: shared-memory transport and warm pool reuse.
+"""Data-plane cost: shared-memory transport and the warm pool.
 
 The process backend's historical data plane pickles the whole input to
 every worker and pickles every chunk's results back through one queue —
 for a flat numeric DOALL with a cheap body, IPC *is* the runtime.  This
-benchmark measures the two knobs that attack it (`Transport@loop`,
-`PoolReuse@loop`):
+benchmark measures the knob that attacks it (`Transport@loop`) and the
+price a first call still pays for the pool:
 
 * **transport**: `shm` vs `pickle` on a large flat-int loop, both on a
   warm pool so transport is the only variable.  Gate (≥4 cores):
   `shm` at least 2× faster.
-* **pool reuse**: a warm session's call vs a cold call (a one-call
-  session: spawn + run + teardown) on a tiny workload where setup
-  dominates.  Gate (≥4 cores): warm pays < 25% of cold.
+* **pool**: a warm session's call vs a first call (a fresh session,
+  opened after `shutdown_sessions()`: spawn + run) on a tiny workload
+  where setup dominates.  Gate (≥4 cores): warm pays < 25% of cold.
 
 Each figure is the median of ``--repeats`` calls (default 9), recorded
 with its quartiles (``*_quartiles_s``), so a reader can see the spread
@@ -42,16 +42,20 @@ def triple(x: int) -> int:
     return x * 3
 
 
-def _timed(vals, *, workers, chunk_size, transport, reuse, repeats):
+def _timed(vals, *, workers, chunk_size, transport, repeats, first=False):
     """``(q1, median, q3)`` of ``repeats`` wall clocks (at least 3) in
-    seconds; asserts the results en route."""
+    seconds; asserts the results en route.  ``first`` times each call
+    on a fresh session: every warm pool is shut down, off the clock,
+    before it."""
     times = []
     for _ in range(max(3, repeats)):
+        if first:
+            shutdown_sessions()
         started = time.perf_counter()
         out = parallel_for(
             vals, triple,
             workers=workers, chunk_size=chunk_size, backend="process",
-            transport=transport, reuse=reuse,
+            transport=transport,
         )
         times.append(time.perf_counter() - started)
         assert out == [v * 3 for v in vals], "data-plane parity violated"
@@ -69,20 +73,21 @@ def ipc_sweep(n: int = 200_000, workers: int = 4, repeats: int = 9) -> dict:
         for transport in ("pickle", "shm"):
             parallel_for(vals, triple, workers=workers,
                          chunk_size=chunk_size, backend="process",
-                         transport=transport, reuse=True)
+                         transport=transport)
             timed[transport] = _timed(
                 vals, workers=workers, chunk_size=chunk_size,
-                transport=transport, reuse=True, repeats=repeats,
+                transport=transport, repeats=repeats,
             )
 
-        # --- pool reuse: tiny workload, setup-dominated.  Each cold
-        # call spawns and tears down a one-call session; the warm calls
-        # ride the session the warm-up above already paid for. ---
+        # --- pool: tiny workload, setup-dominated.  The warm calls
+        # ride the session the transport calls above already paid for;
+        # each cold call is the first on a fresh session and pays its
+        # spawn. ---
         tiny = list(range(64))
-        for pool, reuse in (("cold", False), ("warm", True)):
+        for pool in ("warm", "cold"):
             timed[pool] = _timed(tiny, workers=workers, chunk_size=1,
-                                 transport="pickle", reuse=reuse,
-                                 repeats=repeats)
+                                 transport="pickle", repeats=repeats,
+                                 first=pool == "cold")
     finally:
         shutdown_sessions()
 
@@ -190,12 +195,13 @@ def _smoke(workers: int) -> dict:
         assert parallel_for(vals, triple, workers=workers, chunk_size=64,
                             backend="thread") == expect
         for transport in ("pickle", "shm"):
-            for reuse in (False, True):
+            shutdown_sessions()
+            for call in ("first", "warm"):
                 got = parallel_for(
                     vals, triple, workers=workers, chunk_size=64,
-                    backend="process", transport=transport, reuse=reuse,
+                    backend="process", transport=transport,
                 )
-                assert got == expect, (transport, reuse)
+                assert got == expect, (transport, call)
     finally:
         shutdown_sessions()
     return ipc_sweep(n=5_000, workers=workers, repeats=3)

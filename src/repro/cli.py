@@ -672,7 +672,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             recovery=recovery,
             checkpoint=journal,
             transport=args.transport,
-            reuse=args.reuse,
             metrics=metrics,
             profiler=profiler,
         )
@@ -689,10 +688,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     plane = ""
     if args.backend == "process":
-        plane = (
-            f"{args.transport} transport"
-            + (", warm pool, " if args.reuse else ", ")
-        )
+        plane = f"{args.transport} transport, "
     print(
         f"kernel {kernel.name!r}: {len(values)} element(s), "
         f"chunk size {chunk_size}, {args.workers} worker(s), "
@@ -920,8 +916,7 @@ def cmd_backends(args: argparse.Namespace) -> int:
     scale = 0.15 if args.smoke else args.scale
     rows = sweep_backends(
         workers=args.workers, scale=scale,
-        transport=args.transport, reuse=args.reuse,
-        schedule=args.schedule,
+        transport=args.transport, schedule=args.schedule,
     )
     print(render_table(rows))
     cores = available_cores()
@@ -1128,9 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["pickle", "shm"],
                    help="process-backend data plane: pickle messages or "
                         "zero-copy shared memory (Transport)")
-    p.add_argument("--reuse", action="store_true",
-                   help="run on a warm worker pool kept alive across "
-                        "calls (PoolReuse)")
     ck = p.add_mutually_exclusive_group()
     ck.add_argument("--checkpoint", metavar="PATH",
                     help="journal completed chunks to PATH (fresh run)")
@@ -1210,8 +1202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transport", default="pickle",
                    choices=["pickle", "shm"],
                    help="process-backend data plane for the sweep")
-    p.add_argument("--reuse", action="store_true",
-                   help="sweep the process backend on a warm worker pool")
     p.add_argument("--schedule", default="dynamic",
                    choices=["static", "dynamic", "guided", "adaptive"],
                    help="chunk discipline for the pooled rows (Schedule)")

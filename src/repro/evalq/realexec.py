@@ -163,7 +163,6 @@ def sweep_backends(
     scale: float = 1.0,
     repeats: int = 1,
     transport: str = "pickle",
-    reuse: bool = False,
     schedule: str = "dynamic",
 ) -> list[SweepRow]:
     """Run every kernel under every backend; measure and cross-check.
@@ -172,8 +171,8 @@ def sweep_backends(
     backend that returned different results would make its timing
     meaningless, so the sweep raises instead of reporting it.
 
-    ``transport`` / ``reuse`` select the process backend's data plane
-    for the sweep (ignored by serial/thread rows); a transport downgrade
+    ``transport`` selects the process backend's data plane for the
+    sweep (ignored by serial/thread rows); a transport downgrade
     surfaces in the row's events like a backend downgrade does.
     ``schedule`` picks the chunk discipline (static / dynamic / guided;
     adaptive is guided's alias) for the pooled rows — schedules change
@@ -200,7 +199,6 @@ def sweep_backends(
                     backend=backend,
                     events=events,
                     transport=transport,
-                    reuse=reuse,
                 )
                 best = min(best, time.perf_counter() - started)
                 checksum = kernel.combine(results)

@@ -39,7 +39,6 @@ from repro.patterns.tuning import (
     ON_ERROR_DOMAIN,
     POOL_RESTARTS,
     POOL_RESTARTS_DOMAIN,
-    POOL_REUSE,
     RETRIES,
     RETRIES_DOMAIN,
     METRICS,
@@ -204,20 +203,13 @@ class DoallPattern(SourcePattern):
                 choices=HEDGE_DOMAIN,
                 location=loc,
             ),
-            # data-plane knobs (process backend): how data crosses the
-            # process boundary and whether workers stay warm between
-            # calls; pickle/cold defaults keep the historical behaviour
+            # data-plane knob (process backend): how data crosses the
+            # process boundary; the pickle default works for any data
             ChoiceParameter(
                 name=TRANSPORT,
                 target="loop",
                 default="pickle",
                 choices=TRANSPORT_DOMAIN,
-                location=loc,
-            ),
-            BoolParameter(
-                name=POOL_REUSE,
-                target="loop",
-                default=False,
                 location=loc,
             ),
             # observability: per-element span collection (off by default;

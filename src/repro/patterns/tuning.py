@@ -208,14 +208,12 @@ HEDGE = "Hedge"
 POOL_RESTARTS_DOMAIN = (0, 1, 2, 3)
 HEDGE_DOMAIN = (0.0, 0.9, 0.95, 0.99)
 
-# Data-plane knobs (process backend; see repro.runtime.shm).  Transport
+# Data-plane knob (process backend; see repro.runtime.shm).  Transport
 # picks how inputs/results cross the process boundary: ``pickle``
 # (universal) or ``shm`` (zero-copy shared memory for flat numeric
-# data, with a recorded downgrade when data does not qualify).
-# PoolReuse keeps spawned workers warm across calls so repeated loops
-# pay the pool spawn once.  Both are behaviour-only: results, error
-# records and accounting are transport-independent.
+# data, with a recorded downgrade when data does not qualify).  It is
+# behaviour-only: results, error records and accounting are
+# transport-independent.
 TRANSPORT = "Transport"
-POOL_REUSE = "PoolReuse"
 
 TRANSPORT_DOMAIN = ("pickle", "shm")

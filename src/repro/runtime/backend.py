@@ -35,8 +35,8 @@ Design contract, mirroring the supervised thread pools:
   is bridged parent-side: the collector polls it and sets the pool's
   lock-free stop flag (:class:`SharedFlag`) the moment it fires; workers
   read the flag before every element.
-* **one pool** — every call runs on a :class:`PoolSession`; ``PoolReuse``
-  decides only whether the session outlives the call.
+* **one pool lifetime** — every call runs on a warm, registered
+  :class:`PoolSession`; a session idle past :data:`IDLE_BOUND` is reaped.
 
 A wedged pool cannot hang the caller: the result collector polls worker
 liveness and a worker that dies without its done-marker is detected,
@@ -248,9 +248,9 @@ def start_method() -> str:
     """The multiprocessing start method the process backend uses.
 
     ``fork`` when the platform offers it (worker start is milliseconds,
-    which matters when every ``parallel_for`` call builds a fresh pool);
-    ``spawn`` otherwise.  The payload protocol is pickle-only either way,
-    so overriding via ``REPRO_MP_START=spawn`` is always safe.
+    which a first call and every respawn pay); ``spawn`` otherwise.
+    The payload protocol is pickle-only either way, so overriding via
+    ``REPRO_MP_START=spawn`` is always safe.
     """
     override = os.environ.get("REPRO_MP_START")
     methods = multiprocessing.get_all_start_methods()
@@ -531,7 +531,6 @@ class ProcessRun:
 
     chunks: dict[int, ChunkResult]
     fatal: list[str]
-    leaked: list[str]
     #: crash-recovery history (worker_lost / respawn / redispatch / hedge)
     recovery: list[RecoveryEvent] = field(default_factory=list)
     #: chunk index -> claim-to-delivery seconds from the ownership
@@ -866,7 +865,7 @@ def deliver_chunk(
 
 #: generation tag layout in the shared claim counter: the high 32 bits
 #: name the call generation, the low 32 bits are the next chunk index.
-#: A warm pool reuses one counter across calls; a straggler from a
+#: A session reuses one counter across calls; a straggler from a
 #: previous generation sees the mismatch and stops claiming.
 _GEN_SHIFT = 32
 _GEN_MASK = 0xFFFFFFFF
@@ -1032,7 +1031,7 @@ def _serve_call(
             # chunk takes the zero-copy road; anything else ships inline
             chunk.values, chunk.shm = [], True
         try:
-            msg = pickle.dumps(("chunk", k, chunk, gen))
+            msg = pickle.dumps(("chunk", uid, k, chunk, gen))
         except Exception as exc:
             chunk = dataclasses.replace(
                 chunk,
@@ -1046,7 +1045,7 @@ def _serve_call(
                 failed=True,
                 shm=False,
             )
-            msg = pickle.dumps(("chunk", k, chunk, gen))
+            msg = pickle.dumps(("chunk", uid, k, chunk, gen))
         result_q.put(msg)
         if chunk.failed:
             break
@@ -1058,13 +1057,11 @@ def _session_worker_main(
     result_q,
     counter,
     stop_flag,
-    first: tuple[bytes | None, ...],
+    first: bytes,
 ) -> None:
     """Pool worker: serve ``first``, then ``task_q``, until the sentinel.
 
-    ``first`` is what the member was started with: the task of the call
-    it joins and, in a one-call session, the sentinel behind it (such a
-    member reads no task queue: ``task_q`` is ``None``).  Kernels are
+    ``first`` is the task of the call the member joins.  Kernels are
     cached per digest, so a session re-running the same loop unpickles
     (and, for shipped functions, re-marshals) the body exactly once;
     later calls ship only the per-call delta.  A bad task is answered
@@ -1072,11 +1069,8 @@ def _session_worker_main(
     poisoned call must not cost the pool a member.
     """
     kernels: dict[str, tuple] = {}
-    pending = list(first)
-    while True:
-        raw = pending.pop(0) if pending else task_q.get()
-        if raw is None:
-            break
+    raw = first
+    while raw is not None:
         gen = -1
         closers = []
         try:
@@ -1097,11 +1091,11 @@ def _session_worker_main(
                     closers.append(close_out)
             except BaseException as exc:
                 result_q.put(pickle.dumps(("fatal", uid, repr(exc), gen)))
-                continue
-            _serve_call(
-                uid, slot, gen, nworkers, schedule, counter, result_q,
-                stop_flag, kernel, vals, chunks, out, skip, assigned,
-            )
+            else:
+                _serve_call(
+                    uid, slot, gen, nworkers, schedule, counter, result_q,
+                    stop_flag, kernel, vals, chunks, out, skip, assigned,
+                )
         finally:
             # segments attached before a failed setup are closed too.  A
             # close that fails (a view of a segment still alive) ends the
@@ -1112,6 +1106,7 @@ def _session_worker_main(
                     close()
             finally:
                 result_q.put(pickle.dumps(("done", uid, gen)))
+        raw = task_q.get()
 
 
 class PoolSession:
@@ -1128,17 +1123,13 @@ class PoolSession:
     per worker; later calls send only the per-call delta (input spec +
     chunks).
 
-    ``PoolReuse`` decides only how long a session lives.  A warm session
-    (:func:`get_session`) keeps its members between calls; a one-call
-    session (``PoolReuse=False``, or a busy warm session) starts each
-    member with the retirement sentinel behind its task, and
-    :meth:`end_call` reaps them.
-
-    Sessions are single-caller: the collector takes :attr:`lock`
-    non-blocking and runs on a one-call session when it is busy.
-    Members are never terminated mid-call — retirement is a sentinel on
-    the worker's own task queue, honoured when idle, so the shared
-    result queue's feeder lock can never be stranded by the pool itself.
+    Every session is registered: a call takes an idle one of its width
+    and hands it back warm (:func:`run_process_chunks`), and the reaper
+    thread shuts down a session idle past :data:`IDLE_BOUND`.  A session
+    serves one caller at a time, the holder of :attr:`lock`.  Members
+    are never terminated mid-call — retirement is a sentinel on the
+    worker's own task queue, honoured when idle, so the shared result
+    queue's feeder lock can never be stranded by the pool itself.
     """
 
     def __init__(self, workers: int) -> None:
@@ -1151,13 +1142,13 @@ class PoolSession:
         #: calls served (observability + the warm-vs-cold benchmark)
         self.calls = 0
         self.lock = threading.Lock()
+        #: when the session was last handed back (the reaper's clock)
+        self.idle_since = time.monotonic()
         self._members: dict[int, tuple[Any, Any]] = {}
         self._known: dict[int, set[str]] = {}
         self._retired: list[Any] = []
         self._next_uid = 0
         self._call: tuple | None = None
-        #: retire every member after the call it serves
-        self._one_call = False
 
     @property
     def pids(self) -> list[int]:
@@ -1172,17 +1163,12 @@ class PoolSession:
         uid = self._next_uid
         self._next_uid += 1
         self._known[uid] = set()
-        first = (self._task(uid, slot=slot, assigned=assigned),)
-        task_q = None
-        if self._one_call:
-            first += (None,)
-        else:
-            task_q = self.ctx.Queue()
+        task_q = self.ctx.Queue()
         p = self.ctx.Process(
             target=_session_worker_main,
             args=(
                 uid, task_q, self.result_q, self.counter, self.stop_flag,
-                first,
+                self._task(uid, slot=slot, assigned=assigned),
             ),
             daemon=True,
             name=f"repro-pool-{uid}",
@@ -1197,21 +1183,26 @@ class PoolSession:
         if member is None:
             return
         p, q = member
-        if q is not None:  # a one-call member reads no task queue
-            if sentinel:
-                try:
-                    q.put(None)
-                except Exception:  # pragma: no cover - queue already down
-                    pass
-            q.close()
-            q.cancel_join_thread()
+        if sentinel:
+            try:
+                q.put(None)
+            except Exception:  # pragma: no cover - queue already down
+                pass
+        q.close()
+        q.cancel_join_thread()
         self._retired.append(p)
 
     def _prune_dead(self) -> None:
+        """Forget dead members, and close the retired ones that have
+        exited: a retired process keeps two pipe fds until it is
+        closed, and a long-lived session retires one per respawn."""
         for uid in [
             u for u, (p, _q) in self._members.items() if not p.is_alive()
         ]:
             self._drop_member(uid, sentinel=False)
+        for p in [p for p in self._retired if not p.is_alive()]:
+            p.close()
+            self._retired.remove(p)
 
     def begin_call(
         self,
@@ -1289,33 +1280,33 @@ class PoolSession:
         The next ``begin_call`` heals *up* to the new strength (spawning
         any missing members) and ``end_call`` retires members *beyond*
         it — workers are never terminated mid-call, only grown or shed
-        at the generation boundary.  Callers that resize a session
-        obtained from the width-keyed :func:`get_session` registry must
-        restore the original width before releasing the lock, or the
-        registry key would lie about the pool underneath it.
+        at the generation boundary.  The registry matches sessions by
+        their current width.
         """
         self.nworkers = max(1, int(workers))
 
-    def end_call(self) -> list[str]:
+    def end_call(self, losers: Sequence[int] = ()) -> None:
         """Close the call: stop stragglers, retire beyond-strength extras.
-        A one-call session shuts down and returns the members it leaked."""
+
+        ``losers`` are members still running a chunk whose result came
+        from another copy (a hedged chunk's straggler).  They retire
+        first, so the members kept are the idle ones.
+        """
         self.stop_flag.set()
         self._call = None
-        if self._one_call:
-            return self.shutdown()
+        for uid in losers:
+            self._drop_member(uid, sentinel=True)
         self._prune_dead()
         for uid in sorted(self._members)[self.nworkers:]:
             self._drop_member(uid, sentinel=True)
-        return []
 
-    def shutdown(self) -> list[str]:
+    def shutdown(self) -> None:
         """Retire every member and reap it: join, then terminate, then
-        kill.  Returns the names of members the join did not see exit."""
+        kill."""
         for uid in list(self._members):
             self._drop_member(uid, sentinel=True)
         for p in self._retired:
             p.join(timeout=1.0)
-        leaked = [p.name for p in self._retired if p.is_alive()]
         for p in self._retired:
             if p.is_alive():
                 p.terminate()
@@ -1325,7 +1316,7 @@ class PoolSession:
                     # SIGKILL cannot — a straggler never outlives the pool
                     p.kill()
                     p.join(timeout=0.5)
-        self._retired.clear()
+        self._prune_dead()
         try:
             while True:
                 self.result_q.get_nowait()
@@ -1333,96 +1324,134 @@ class PoolSession:
             pass
         self.result_q.close()
         self.result_q.cancel_join_thread()
-        return leaked
 
 
-def _one_call_session(workers: int) -> PoolSession:
-    """A session that retires its members after the call they serve."""
-    session = PoolSession(workers)
-    session._one_call = True
+#: every registered session, least recently handed back first
+_SESSIONS: dict[int, PoolSession] = {}
+_SESSIONS_LOCK = threading.Lock()
+#: the reaper sleeps on it; shutdown_sessions() wakes it to exit
+_REAPER_WAKE = threading.Condition(_SESSIONS_LOCK)
+_REAPER: threading.Thread | None = None
+
+#: idle sessions kept at once; a held session is never evicted
+MAX_SESSIONS = 4
+
+#: seconds a session stays idle before the reaper shuts it down.  It
+#: trades a first call's extra wall time (about 2 ms for 2 workers)
+#: against each idle member's memory (about 20 MB RSS); DESIGN.md §5
+#: records both measurements.
+IDLE_BOUND = 5.0
+
+
+def _find_or_open(workers: int, take: bool) -> PoolSession:
+    """The most recently handed back session of this width, else a new
+    one; ``take`` passes over held sessions and takes the one returned.
+    Call with ``_SESSIONS_LOCK`` held."""
+    global _REAPER
+    key = (start_method(), max(1, int(workers)))
+    for session in reversed(_SESSIONS.values()):
+        if (session.ctx.get_start_method(), session.nworkers) == key and (
+            not take or session.lock.acquire(blocking=False)
+        ):
+            return session
+    session = PoolSession(key[1])
+    if take:
+        session.lock.acquire()
+    _SESSIONS[id(session)] = session
+    if _REAPER is None:
+        _REAPER = threading.Thread(
+            target=_reap_idle, name="repro-pool-reaper", daemon=True
+        )
+        _REAPER.start()
     return session
 
 
-#: warm pools by (start method, width); insertion order is LRU order
-_SESSIONS: dict[tuple[str, int], PoolSession] = {}
-_SESSIONS_LOCK = threading.Lock()
+def _evict_idle() -> None:
+    """Shut down the least recently handed back idle sessions beyond
+    :data:`MAX_SESSIONS`.  Call with ``_SESSIONS_LOCK`` held."""
+    idle = [key for key, s in _SESSIONS.items() if not s.lock.locked()]
+    for key in idle[: max(0, len(idle) - MAX_SESSIONS)]:
+        _SESSIONS.pop(key).shutdown()
 
-#: distinct warm pools kept alive at once
-MAX_SESSIONS = 4
+
+def _release_session(session: PoolSession) -> None:
+    """Hand a call's session back warm, as the most recently used."""
+    with _SESSIONS_LOCK:
+        session.lock.release()
+        if _SESSIONS.pop(id(session), None) is not None:
+            # (else shutdown_sessions() took it down under its holder)
+            session.idle_since = time.monotonic()
+            _SESSIONS[id(session)] = session
+            _evict_idle()
+
+
+def _reap_idle() -> None:
+    """The reaper thread: shut down each session idle past
+    :data:`IDLE_BOUND`; exit once the registry is empty.
+
+    It works under the registry lock and takes a session's own lock
+    before it shuts the session down.  So it never retires a session
+    that a caller holds or is taking, and :func:`shutdown_sessions`
+    waits for a retirement in progress.
+    """
+    global _REAPER
+    with _SESSIONS_LOCK:
+        try:
+            while _SESSIONS:
+                wait, now = IDLE_BOUND, time.monotonic()
+                for key, session in list(_SESSIONS.items()):
+                    left = session.idle_since + IDLE_BOUND - now
+                    if left > 0:
+                        wait = min(wait, left)
+                    elif session.lock.acquire(blocking=False):
+                        del _SESSIONS[key]
+                        session.shutdown()
+                        session.lock.release()
+                if _SESSIONS:
+                    _REAPER_WAKE.wait(wait)
+        finally:
+            _REAPER = None
 
 
 def get_session(workers: int) -> PoolSession:
-    """The warm pool for this width, created on first use (LRU-bounded)."""
-    key = (start_method(), max(1, int(workers)))
-    evicted: list[PoolSession] = []
+    """The most recently handed back session of this width, opened if
+    none is registered.  It is not taken: a call takes its own session
+    in :func:`run_process_chunks`."""
     with _SESSIONS_LOCK:
-        session = _SESSIONS.pop(key, None)
-        if session is None:
-            session = PoolSession(key[1])
-        _SESSIONS[key] = session
-        while len(_SESSIONS) > MAX_SESSIONS:
-            victim = next(
-                (
-                    k for k, s in _SESSIONS.items()
-                    if k != key and not s.lock.locked()
-                ),
-                None,
-            )
-            if victim is None:
-                break
-            evicted.append(_SESSIONS.pop(victim))
-    for s in evicted:
-        s.shutdown()
+        session = _find_or_open(workers, take=False)
+        _evict_idle()
     return session
 
 
 def shutdown_sessions() -> None:
-    """Stop every warm pool (test teardown; registered at exit)."""
+    """Shut down every session (test teardown; registered at exit).
+    Under the registry lock, so a session the reaper is retiring at that
+    moment is gone too when it returns."""
     with _SESSIONS_LOCK:
-        sessions = list(_SESSIONS.values())
+        for session in _SESSIONS.values():
+            session.shutdown()
         _SESSIONS.clear()
-    for s in sessions:
-        s.shutdown()
+        _REAPER_WAKE.notify_all()
+
+
+def _forget_sessions() -> None:
+    """A forked child starts from an empty registry, fresh locks and no
+    reaper.  It owns none of the parent's members: testing or joining
+    one raises, and a sentinel would retire it.  Dropping them from
+    multiprocessing's table of children too keeps that table's exit
+    hook from terminating them when an ``os.fork()`` child exits."""
+    global _SESSIONS_LOCK, _REAPER_WAKE, _REAPER
+    for session in _SESSIONS.values():
+        for p in [p for p, _q in session._members.values()] + session._retired:
+            multiprocessing.process._children.discard(p)
+    _SESSIONS.clear()
+    _SESSIONS_LOCK = threading.Lock()
+    _REAPER_WAKE = threading.Condition(_SESSIONS_LOCK)
+    _REAPER = None
 
 
 atexit.register(shutdown_sessions)
-
-
-@contextlib.contextmanager
-def warm_session(
-    workers: int,
-    metrics: MetricsRegistry | None = None,
-    label: str = "loop",
-):
-    """Hold the warm :class:`PoolSession` for ``workers`` through one call.
-
-    The one place a session is acquired, restored and released, and the
-    one place a call counts ``pool_warm_hits`` (warm workers serve it)
-    or ``pool_warm_misses`` (the session is busy).  Yields ``None`` on a
-    miss, and :func:`run_process_chunks` then runs the call on a
-    one-call session that pays the spawn.  A holder may
-    :meth:`PoolSession.resize` the session between pool calls; the
-    registry keys sessions by width, so the width is restored before the
-    lock is released.
-    """
-    session = get_session(workers)
-    if not session.lock.acquire(blocking=False):
-        session = None
-    if metrics is not None:
-        metrics.inc(
-            "pool_warm_hits" if session is not None else "pool_warm_misses",
-            stage=label,
-        )
-    if session is None:
-        yield None
-        return
-    width = session.nworkers
-    try:
-        yield session
-    finally:
-        if session.nworkers != width:
-            session.resize(width)
-        session.lock.release()
+os.register_at_fork(after_in_child=_forget_sessions)
 
 
 def _pool_wait(result_q, procs: Sequence[Any], timeout: float) -> None:
@@ -1463,14 +1492,12 @@ def run_process_chunks(
     label: str = "loop",
     checkpoint: Any = None,
     out_values: Any = None,
-    session: "PoolSession | None" = None,
 ) -> ProcessRun:
-    """Execute a prepared payload on a :class:`PoolSession`; collect chunks.
+    """Execute a prepared payload on a warm :class:`PoolSession`; collect
+    chunks.
 
-    ``session`` is the warm session the caller holds through
-    :func:`warm_session`; without one (``PoolReuse=False``, or a busy
-    warm session) the call runs on a one-call session, reaped when it
-    ends (stragglers are named in :attr:`ProcessRun.leaked`).
+    The one place a call takes its session (the most recently handed
+    back idle one of its width, or a new one) and hands it back warm.
 
     The collector never blocks indefinitely: it polls worker liveness, so
     a worker that dies without delivering its done-marker surfaces as
@@ -1508,10 +1535,8 @@ def run_process_chunks(
     skip = frozenset(k for k in completed if 0 <= k < n_chunks)
     live_chunks = n_chunks - len(skip)
     if live_chunks <= 0:
-        return ProcessRun(chunks={}, fatal=[], leaked=[])
+        return ProcessRun(chunks={}, fatal=[])
     nworkers = max(1, min(workers, live_chunks))
-    session = session or _one_call_session(nworkers)
-    result_q, stop_flag = session.result_q, session.stop_flag
 
     observers = observers or {}
     trace, metrics = observers.get("trace"), observers.get("metrics")
@@ -1529,6 +1554,8 @@ def run_process_chunks(
     latencies: list[float] = []
     chunk_latency: dict[int, float] = {}
     hedged: set[int] = set()
+    #: worker uid -> the chunk it claimed and has not yet delivered
+    running: dict[int, int] = {}
     restarts_used = 0
     hedges_used = 0
     failed_seen = False
@@ -1575,7 +1602,9 @@ def run_process_chunks(
             return
         tag = message[0]
         if tag == "chunk":
-            _tag, k, chunk, _gen = message
+            _tag, uid, k, chunk, _gen = message
+            if running.get(uid) == k:
+                del running[uid]
             if chunk.shm and k not in delivered and k not in skip:
                 # materialize from the shared region exactly once, while
                 # the region is still alive; the message itself carried
@@ -1620,6 +1649,7 @@ def run_process_chunks(
             )
         elif tag == "claim":
             _tag, uid, k, att, _gen = message
+            running[uid] = k
             inflight.setdefault(k, set()).add(uid)
             claim_time[k] = time.monotonic()
             attempts[k] = max(attempts.get(k, 0), att)
@@ -1745,6 +1775,15 @@ def run_process_chunks(
     # every worker death interrupts it.
     poll = 0.05 if hedge > 0.0 or cancel is not None else 0.25
 
+    with _SESSIONS_LOCK:
+        session = _find_or_open(nworkers, take=True)
+    if metrics is not None:
+        # a hit finds warm members; a miss pays their spawn
+        metrics.inc(
+            "pool_warm_hits" if session.pids else "pool_warm_misses",
+            stage=label,
+        )
+    result_q, stop_flag = session.result_q, session.stop_flag
     try:
         roster = session.begin_call(payload, schedule=schedule, skip=skip)
         gen = session.gen
@@ -1762,7 +1801,7 @@ def run_process_chunks(
                 stop_flag.set()
             if len(delivered) >= live_chunks:
                 # every chunk accounted for: don't wait out hedge losers
-                # — stragglers are stopped and reaped in the finally
+                # — stragglers are stopped and retired in the finally
                 break
             active = [
                 uid for uid in procs
@@ -1893,12 +1932,16 @@ def run_process_chunks(
                 absorb(recv_nowait())
         except (_queue.Empty, OSError, EOFError):
             pass
-        # a warm session keeps its members for the next call (a busy
-        # straggler finishes its stale-generation chunk and idles); a
-        # one-call session reaps them here
-        leaked = session.end_call()
+        # the session keeps its members for the next call, except a
+        # member still busy on a chunk another copy already delivered
+        try:
+            session.end_call(
+                losers=[uid for uid, k in running.items() if k in delivered]
+            )
+        finally:
+            _release_session(session)
     return ProcessRun(
-        chunks=delivered, fatal=fatal, leaked=leaked, recovery=recovery,
+        chunks=delivered, fatal=fatal, recovery=recovery,
         latencies=chunk_latency,
     )
 

@@ -71,7 +71,6 @@ from repro.runtime.backend import (
     normalize_backend,
     run_chunk,
     run_process_chunks,
-    warm_session,
 )
 from repro.runtime.chaos import ChaosInjector
 from repro.runtime.checkpoint import CheckpointError, ChunkJournal
@@ -215,7 +214,7 @@ def _assemble_process_run(
     if missing:
         raise RuntimeError(
             f"{stage}: worker pool lost {len(missing)} chunk(s) "
-            f"(first: {missing[0]}); leaked={run.leaked}"
+            f"(first: {missing[0]})"
         )
 
 
@@ -316,7 +315,7 @@ def _run_in_process(
         work(claims[0])
     if errors:
         raise errors[0]
-    return ProcessRun(chunks=delivered, fatal=[], leaked=[])
+    return ProcessRun(chunks=delivered, fatal=[])
 
 
 def _engine(
@@ -342,7 +341,6 @@ def _engine(
     recovery: list[RecoveryEvent] | None = None,
     checkpoint: ChunkJournal | None = None,
     transport: str = "pickle",
-    reuse: bool = False,
 ) -> list[Any] | dict[int, Any]:
     """Run one pattern call: plan → chunk kernel → deliver → assemble.
 
@@ -443,9 +441,9 @@ def _engine(
                 if shm_in is None:
                     downgrade_transport(why, events, trace=trace, stage=label)
                 else:
-                    # stragglers retired by a warm pool may still hold
-                    # the mapped segments; POSIX keeps unlinked blocks
-                    # alive until the last close, so disposing is safe
+                    # stragglers retired by the pool may still hold the
+                    # mapped segments; POSIX keeps unlinked blocks alive
+                    # until the last close, so disposing is safe
                     stack.callback(shm_in.dispose)
                     input_spec = ("shm", shm_in.spec())
                     if reduce_op is None:
@@ -463,16 +461,11 @@ def _engine(
                     trace=trace, stage=label,
                 )
             else:
-                session = (
-                    stack.enter_context(warm_session(width, metrics, label))
-                    if reuse else None
-                )
                 run = run_process_chunks(
                     payload, plan, workers=width, schedule=schedule,
                     cancel=cancel, max_restarts=restarts, hedge=hedge,
                     completed=skip, observers=observers, label=label,
                     checkpoint=checkpoint, out_values=shm_out,
-                    session=session,
                 )
         if run is None:
             run = _run_in_process(
@@ -555,10 +548,13 @@ def parallel_for(
     :mod:`multiprocessing.shared_memory` block and collects fixed-width
     results from a preallocated region instead of pickling data through
     the result queue; non-qualifying data downgrades to the pickle
-    transport with a recorded :class:`BackendEvent`.  ``reuse=True``
-    (``PoolReuse@loop``) runs the call on a warm
-    :class:`~repro.runtime.backend.PoolSession` that keeps workers alive
-    across calls and ships each distinct kernel once.
+    transport with a recorded :class:`BackendEvent`.  Every process call
+    runs on a warm :class:`~repro.runtime.backend.PoolSession` that keeps
+    its workers alive across calls, until they sit idle past
+    :data:`~repro.runtime.backend.IDLE_BOUND`, and ships each distinct
+    kernel once.  ``reuse`` is retired and ignored: it was the
+    ``PoolReuse@loop`` knob, which chose between that warm session and a
+    pool spawned and reaped per call.
 
     ``metrics`` is a :class:`~repro.runtime.metrics.MetricsRegistry`
     (``Metrics@loop``; defaults to the active
@@ -597,7 +593,7 @@ def parallel_for(
         chaos=chaos, cancel=cancel, ledger=ledger, events=events,
         trace=trace, metrics=metrics, profiler=profiler,
         restarts=restarts, hedge=hedge, recovery=recovery,
-        checkpoint=checkpoint, transport=transport, reuse=reuse,
+        checkpoint=checkpoint, transport=transport,
     )
 
 
@@ -644,11 +640,11 @@ def parallel_reduce(
     partial, on every backend, so a resumed reduction re-folds only
     unfinished chunks.
 
-    ``transport`` / ``reuse`` mirror :func:`parallel_for` too, with one
-    asymmetry: a reduction's shared-memory road covers the *input* block
-    only.  Partials are single folded values shipped through the control
-    queue regardless — there is exactly one per chunk, so a fixed-width
-    output region would save nothing.
+    ``transport`` and the retired ``reuse`` mirror :func:`parallel_for`
+    too, with one asymmetry: a reduction's shared-memory road covers the
+    *input* block only.  Partials are single folded values shipped
+    through the control queue regardless — there is exactly one per
+    chunk, so a fixed-width output region would save nothing.
     """
     _validate(workers, chunk_size, "dynamic", restarts, hedge)
     normalize_transport(transport)
@@ -664,7 +660,7 @@ def parallel_reduce(
         chunk_size=chunk_size, reduce_op=op, cancel=cancel, events=events,
         trace=trace, metrics=metrics, profiler=profiler, restarts=restarts,
         hedge=hedge, recovery=recovery, checkpoint=checkpoint,
-        transport=transport, reuse=reuse,
+        transport=transport,
     )
     acc = init
     for lo in sorted(partials):
@@ -739,5 +735,4 @@ def configured_parallel_for(
         recovery=recovery,
         checkpoint=checkpoint,
         transport=str(config.get("Transport@loop", "pickle")),
-        reuse=bool(config.get("PoolReuse@loop", False)),
     )

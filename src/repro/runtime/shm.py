@@ -48,7 +48,6 @@ TRANSPORTS = ("pickle", "shm")
 
 #: canonical tuning-parameter names (mirrors ``backend.BACKEND``)
 TRANSPORT = "Transport"
-POOL_REUSE = "PoolReuse"
 
 #: per-chunk completion tags in the output region header
 _TAG_EMPTY = 0

@@ -97,8 +97,7 @@ def classify(
     in order on run-wide shares:
 
     * IPC/serialization dominates → *serialization-bound*: move the data
-      plane to zero-copy (``Transport=shm``) and keep workers warm
-      (``PoolReuse=True``).
+      plane to zero-copy (``Transport=shm``).
     * queue_wait dominates → *dispatch-bound*: coarsen chunks
       (``ChunkSize`` up) and switch to ``Schedule=guided`` so dispatch
       overhead amortises while the tail stays balanced.
@@ -133,17 +132,6 @@ def classify(
                     confidence=min(1.0, ipc * 2.0),
                 )
             )
-        hints.append(
-            Hint(
-                key=f"PoolReuse@{target}",
-                value=True,
-                reason=(
-                    "warm workers amortise pool spin-up and payload "
-                    "shipping across calls"
-                ),
-                confidence=min(1.0, ipc * 1.5),
-            )
-        )
     elif queue >= SHARE_THRESHOLD:
         bound = "dispatch"
         if chunk_size is not None:

@@ -140,21 +140,18 @@ def with_schedule_dimension(
 
 
 def data_plane_dimensions(target: str = "loop") -> list[TuningParameter]:
-    """The process backend's data-plane knobs as search dimensions.
+    """The process backend's data-plane knob as a search dimension.
 
     ``Transport@<target>`` picks how data crosses the process boundary
-    (``pickle`` vs zero-copy ``shm``) and ``PoolReuse@<target>`` whether
-    workers stay warm between calls — the same keys
-    ``configured_parallel_for`` honours.  Both degrade gracefully
-    (recorded downgrade, cold pool) so the tuner can explore them on any
-    workload; they only *win* on flat numeric data and repeated calls,
-    which is exactly what measuring discovers.
+    (``pickle`` vs zero-copy ``shm``) — the key
+    ``configured_parallel_for`` honours.  It degrades gracefully (a
+    recorded downgrade) so the tuner can explore it on any workload; it
+    only *wins* on flat numeric data, which is exactly what measuring
+    discovers.
     """
     from repro.patterns.tuning import (
-        POOL_REUSE,
         TRANSPORT,
         TRANSPORT_DOMAIN,
-        BoolParameter,
         ChoiceParameter,
     )
 
@@ -165,14 +162,13 @@ def data_plane_dimensions(target: str = "loop") -> list[TuningParameter]:
             default="pickle",
             choices=TRANSPORT_DOMAIN,
         ),
-        BoolParameter(name=POOL_REUSE, target=target, default=False),
     ]
 
 
 def with_data_plane_dimensions(
     space: "ParameterSpace", target: str = "loop"
 ) -> "ParameterSpace":
-    """A copy of ``space`` widened by the data-plane dimensions."""
+    """A copy of ``space`` widened by the data-plane dimension."""
     return ParameterSpace(
         parameters=list(space.parameters) + data_plane_dimensions(target)
     )

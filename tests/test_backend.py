@@ -6,6 +6,8 @@ import functools
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 import timeit
@@ -16,6 +18,7 @@ import pytest
 from repro.patterns.tuning import BACKEND_DOMAIN, apply_config
 from repro.report import fault_report
 from repro.runtime import Item, MasterWorker, Pipeline
+from repro.runtime import backend as backend_mod
 from repro.runtime.backend import (
     BACKENDS,
     BackendEvent,
@@ -671,7 +674,7 @@ class TestWorkerLoss:
 
 
 # ---------------------------------------------------------------------------
-# one pool: a cold call runs on a one-call PoolSession, reaped at its end
+# one pool lifetime: every call runs on a registered warm PoolSession
 # ---------------------------------------------------------------------------
 
 def _straggle_once(marker, x):
@@ -682,105 +685,283 @@ def _straggle_once(marker, x):
     return x * x
 
 
+def _nap_pid(_x):
+    time.sleep(0.05)
+    return os.getpid()
+
+
 def _child_pids():
     return {p.pid for p in multiprocessing.active_children()}
 
 
-class TestOnePool:
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+FORK_PROBES = """
+import multiprocessing, os, sys
+from repro.runtime import parallel_for
+from repro.runtime.backend import get_session
+
+def square(x):
+    return x * x
+
+def child_call(q):
+    try:
+        q.put(parallel_for(range(20), square, workers=2, chunk_size=5,
+                           backend="process", reuse=True))
+    except BaseException as exc:
+        q.put(repr(exc))
+
+expect = [x * x for x in range(20)]
+call = lambda: parallel_for(range(20), square, workers=2, chunk_size=5,
+                            backend="process", reuse=True)
+assert call() == expect
+session = get_session(2)
+pids = sorted(session.pids)
+# a fork-context child makes a process call of its own
+q = multiprocessing.get_context("fork").Queue()
+child = multiprocessing.get_context("fork").Process(target=child_call,
+                                                    args=(q,))
+child.start()
+got = q.get(timeout=60)
+child.join(60)
+assert got == expect, got
+# a child made by os.fork() exits through sys.exit and its atexit hooks
+pid = os.fork()
+if pid == 0:
+    sys.exit(0)
+os.waitpid(pid, 0)
+assert sorted(session.pids) == pids, (session.pids, pids)
+assert all(p.is_alive() for p, _q in session._members.values())
+assert call() == expect
+assert sorted(get_session(2).pids) == pids
+print("fork probes ok")
+"""
+
+
+class TestPoolLifetime:
     @pytest.fixture(autouse=True)
     def _no_warm_pools(self):
         shutdown_sessions()
         yield
         shutdown_sessions()
 
-    def _reaps(self, call):
-        before = _child_pids()
-        call()
-        assert _child_pids() - before == set()
-
-    def test_clean_cold_call_reaps_its_members(self):
-        def call():
+    def _call(self, kind, tmp_path):
+        if kind == "clean":
             out = parallel_for(
                 range(40), square, workers=2, chunk_size=5,
                 backend="process",
             )
             assert out == [x * x for x in range(40)]
-
-        self._reaps(call)
-
-    def test_failed_cold_call_reaps_its_members(self):
-        def call():
+        elif kind == "failed":
             with pytest.raises(ValueError, match="poison element"):
                 parallel_for(
                     range(40), poison_five, workers=2, chunk_size=5,
                     backend="process",
                 )
-
-        self._reaps(call)
-
-    def test_cancelled_cold_call_reaps_its_members(self):
-        token = CancellationToken()
-        timer = threading.Timer(0.1, token.cancel)
-
-        def call():
+        elif kind == "cancelled":
+            token = CancellationToken()
+            timer = threading.Timer(0.1, token.cancel)
             timer.start()
-            with pytest.raises(CancelledError):
-                parallel_for(
-                    range(200), _slow_identity, workers=2, chunk_size=1,
-                    backend="process", cancel=token,
-                )
+            try:
+                with pytest.raises(CancelledError):
+                    parallel_for(
+                        range(200), _slow_identity, workers=2, chunk_size=1,
+                        backend="process", cancel=token,
+                    )
+            finally:
+                timer.cancel()
+        else:
+            body = functools.partial(_straggle_once, str(tmp_path / "slow"))
+            vals = list(range(12))
+            chunks = [(i, i + 1) for i in vals]
+            payload, why = build_process_payload(body, vals, chunks)
+            assert why is None
+            started = time.monotonic()
+            run = run_process_chunks(payload, chunks, workers=3, hedge=0.95)
+            # the hedge won long before the 6 s sleeper woke
+            assert time.monotonic() - started < 5.0
+            assert "hedge" in [e.kind for e in run.recovery]
+            assert {k: c.values for k, c in run.chunks.items()} == {
+                k: [k * k] for k in vals
+            }
 
-        try:
-            self._reaps(call)
-        finally:
-            timer.cancel()
-
-    def test_hedged_cold_call_reaps_its_losing_worker(self, tmp_path):
-        body = functools.partial(_straggle_once, str(tmp_path / "slow"))
-        vals = list(range(12))
-        chunks = [(i, i + 1) for i in vals]
-        payload, why = build_process_payload(body, vals, chunks)
-        assert why is None
+    @pytest.mark.parametrize("end", ["shutdown", "idle"])
+    @pytest.mark.parametrize(
+        "kind", ["clean", "failed", "cancelled", "hedged"]
+    )
+    def test_no_child_outlives_the_pool(
+        self, kind, end, tmp_path, monkeypatch
+    ):
+        if end == "idle":
+            monkeypatch.setattr(backend_mod, "IDLE_BOUND", 0.2)
         before = _child_pids()
-        started = time.monotonic()
-        run = run_process_chunks(payload, chunks, workers=3, hedge=0.95)
-        # the hedge won long before the 6 s sleeper woke: the call ended
-        # with the loser still running, so the reap terminated it
-        assert time.monotonic() - started < 5.0
-        assert "hedge" in [e.kind for e in run.recovery]
-        assert {k: c.values for k, c in run.chunks.items()} == {
-            k: [k * k] for k in vals
-        }
-        assert len(run.leaked) == 1
+        self._call(kind, tmp_path)
+        if end == "shutdown":
+            shutdown_sessions()
+        else:
+            deadline = time.monotonic() + 10.0
+            while _child_pids() - before and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not backend_mod._SESSIONS
         assert _child_pids() - before == set()
 
-    def test_busy_warm_session_runs_the_call_on_a_one_call_session(self):
+    def test_held_session_sends_the_call_to_a_second_warm_session(self):
         values = list(range(40))
         expect = [v * v for v in values]
         call = functools.partial(
             parallel_for, values, square, workers=2, chunk_size=5,
-            backend="process", reuse=True,
+            backend="process",
         )
-        assert call() == expect  # spawns the warm members
-        session = get_session(2)
-        pids = sorted(session.pids)
+        assert call() == expect
+        first = get_session(2)
+        pids = sorted(first.pids)
         assert len(pids) == 2
-        before = _child_pids()
-        missed = MetricsRegistry()
-        with session.lock:  # another holder
+        missed, hit = MetricsRegistry(), MetricsRegistry()
+        with first.lock:  # another holder
             assert call(metrics=missed) == expect
+            assert call(metrics=hit) == expect
         assert missed.total("pool_warm_misses") == 1
         assert missed.total("pool_warm_hits") == 0
-        assert sorted(session.pids) == pids
-        assert session.calls == 1
-        # the one-call members are gone; the warm ones are untouched
-        assert _child_pids() - before == set()
-        hit = MetricsRegistry()
-        assert call(metrics=hit) == expect
         assert hit.total("pool_warm_hits") == 1
         assert hit.total("pool_warm_misses") == 0
-        assert sorted(session.pids) == pids
-        assert session.calls == 2
+        second = get_session(2)
+        assert second is not first
+        assert second.calls == 2 and len(second.pids) == 2
+        assert not set(second.pids) & set(pids)
+        assert sorted(first.pids) == pids and first.calls == 1
+        assert len(backend_mod._SESSIONS) == 2
+
+    def test_concurrent_callers_never_share_a_session(self):
+        # more calling threads than cores and a tiny switch interval: a
+        # session taken twice would mix two calls' generations
+        calls, threads = 4, 3
+        reg = MetricsRegistry()
+        errors = []
+
+        def caller(t):
+            try:
+                for i in range(calls):
+                    values = list(range(t * 100 + i, t * 100 + i + 24))
+                    out = parallel_for(
+                        values, square, workers=2, chunk_size=3,
+                        backend="process", metrics=reg,
+                    )
+                    assert out == [v * v for v in values]
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [
+                threading.Thread(target=caller, args=(t,))
+                for t in range(threads)
+            ]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in pool)
+        assert errors == []
+        total = calls * threads
+        assert (
+            reg.total("pool_warm_hits") + reg.total("pool_warm_misses")
+            == total
+        )
+        sessions = list(backend_mod._SESSIONS.values())
+        assert 1 <= len(sessions) <= threads
+        assert sum(s.calls for s in sessions) == total
+
+    def test_held_session_is_never_reaped(self, monkeypatch):
+        # the call holds its session for ~0.4 s, four idle bounds: a
+        # reaper that retired it would cost the call its members
+        monkeypatch.setattr(backend_mod, "IDLE_BOUND", 0.1)
+        recovery = []
+        out = parallel_for(
+            range(16), _nap_pid, workers=2, chunk_size=1,
+            backend="process", recovery=recovery,
+        )
+        assert recovery == []
+        assert len(set(out)) == 2 and os.getpid() not in out
+        # handed back, it is reaped once idle past the bound
+        deadline = time.monotonic() + 10.0
+        while backend_mod._SESSIONS and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not backend_mod._SESSIONS
+
+    def test_masterworker_runs_share_their_pids(self):
+        mw = MasterWorker(workers=2, backend="process")
+        first = mw.map(_nap_pid, range(6))
+        pids = sorted(get_session(2).pids)
+        second = mw.map(_nap_pid, range(6))
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert set(first) | set(second) <= set(pids)
+        assert sorted(get_session(2).pids) == pids
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the probes fork",
+    )
+    def test_forked_child_forgets_the_parents_sessions(self):
+        import repro
+
+        env = dict(os.environ, REPRO_MP_START="fork")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(repro.__file__)),
+            env.get("PYTHONPATH"),
+        ]))
+        proc = subprocess.run(
+            [sys.executable, "-c", FORK_PROBES], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "fork probes ok" in proc.stdout
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd"
+    )
+    def test_retired_members_are_closed_once_they_exit(self):
+        def call():
+            out = parallel_for(
+                range(40), square, workers=2, chunk_size=2,
+                backend="process", restarts=8, reuse=True,
+                chaos=ChaosInjector(seed=1, kill_rate=0.2),
+            )
+            assert out == [x * x for x in range(40)]
+
+        call()
+        session = get_session(2)
+        fds = _open_fds()
+        for _ in range(11):
+            call()
+        assert get_session(2) is session and session.calls == 12
+        # every call respawns killed members: without the sweep, 48
+        # retired processes and ~90 pipe fds pile up over these calls
+        assert len(session._retired) <= 4
+        assert _open_fds() - fds <= 8
+
+    def test_hedge_loser_leaves_the_warm_session(self, tmp_path):
+        body = functools.partial(_straggle_once, str(tmp_path / "slow"))
+        recovery = []
+        assert parallel_for(
+            range(12), body, workers=2, chunk_size=1, backend="process",
+            hedge=0.95, recovery=recovery, reuse=True,
+        ) == [k * k for k in range(12)]
+        assert "hedge" in [e.kind for e in recovery]
+        # the straggler still sleeps on element 5: it retires, and the
+        # idle hedge copy stays, so a static call runs on full width
+        started = time.monotonic()
+        assert parallel_for(
+            range(8), body, workers=2, chunk_size=1, schedule="static",
+            backend="process", reuse=True,
+        ) == [k * k for k in range(8)]
+        assert time.monotonic() - started < 1.0
+        session = get_session(2)
+        assert session.calls == 2 and len(session.pids) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +1054,42 @@ class TestGeneratedCodeRoundTrip:
         # the generated loop body (an exec-defined closure) was shipped
         # by value and executed on real worker processes
         assert any(pid != os.getpid() for _v, pid in out)
+
+    def test_tuning_file_setting_pool_reuse_still_runs_warm(self, tmp_path):
+        import json
+
+        from repro.transform import compile_parallel, write_tuning_file
+        from repro.transform.tuningfile import config_for_location
+
+        ir, match = self._match()
+        path = tmp_path / "tuning.json"
+        write_tuning_file([match], path)
+        # the file as the detector wrote it while it emitted PoolReuse
+        doc = json.loads(path.read_text())
+        entry = doc["patterns"][0]
+        for param in entry["parameters"]:
+            if param["name"] == "Backend":
+                param["value"] = "process"
+        entry["parameters"].append({
+            "name": "PoolReuse", "target": "loop", "type": "BoolParameter",
+            "default": False, "value": False,
+            "location": entry["location"], "domain": [False, True],
+        })
+        path.write_text(json.dumps(doc))
+        config = config_for_location(path, entry["location"])
+        assert config["PoolReuse@loop"] is False
+        config["NumWorkers@loop"] = 2
+        fn = compile_parallel(ir, match, {"os": os})
+        shutdown_sessions()
+        try:
+            first = {pid for _v, pid in fn(list(range(8)), __tuning__=config)}
+            session = get_session(2)
+            pids = set(session.pids)
+            second = {pid for _v, pid in fn(list(range(8)), __tuning__=config)}
+            assert len(pids) == 2 and first | second <= pids
+            assert set(session.pids) == pids and session.calls == 2
+        finally:
+            shutdown_sessions()
 
     def test_generated_code_thread_default_unchanged(self):
         from repro.transform import compile_parallel

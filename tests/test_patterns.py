@@ -343,7 +343,6 @@ class TestDoallPattern:
             "PoolRestarts@loop",
             "Hedge@loop",
             "Transport@loop",
-            "PoolReuse@loop",
             "Trace@loop",
             "Metrics@loop",
             "Profile@loop",

@@ -367,7 +367,6 @@ class TestHints:
         assert d.bound == "serialization"
         keys = {h.key: h.value for h in d.hints}
         assert keys["Transport@loop"] == "shm"
-        assert keys["PoolReuse@loop"] is True
 
     def test_shm_already_on_not_resuggested(self):
         from repro.tuning.hints import classify
