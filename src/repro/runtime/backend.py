@@ -617,6 +617,27 @@ def _shippable_error(exc: BaseException) -> BaseException:
     return RuntimeError(f"unpicklable worker error: {exc!r}")
 
 
+def _chunk(
+    vals: Sequence[Any], lo: int, hi: int
+) -> contextlib.AbstractContextManager[Sequence[Any]]:
+    """The chunk ``vals[lo:hi]``, scoped to the kernel that reads it.
+
+    Every kernel reads its chunk through this helper, as ``with
+    _chunk(vals, lo, hi) as chunk:``.  On a shared-memory view the chunk
+    is a ``memoryview`` slice of the block: the kernel iterates the
+    block in place, and the slice is released when the kernel leaves the
+    chunk (also when an element raises or ``should_stop`` fires), so no
+    export of the segment outlives the kernel.  On the call's own list
+    the chunk is the list slice, or the list itself when one chunk spans
+    all of it: the kernels never write to their chunk.
+    """
+    if isinstance(vals, list):
+        if lo == 0 and hi == len(vals):
+            return contextlib.nullcontext(vals)
+        return contextlib.nullcontext(vals[lo:hi])
+    return vals[lo:hi]
+
+
 def _run_map_chunk(
     k: int,
     bounds: tuple[int, int],
@@ -632,64 +653,51 @@ def _run_map_chunk(
     """(values, records, counters, failed, aborted) for one map chunk.
 
     One loop per feature set, so the plain loop pays nothing per element
-    for a policy or a trace.  Each loop iterates the chunk's slice
-    ``vals[lo:hi]`` (one C-level unpack on a shared-memory view, not a
-    Python-level index per element); an element's run-wide index is
-    ``lo`` plus its offset.  The element counters are derived once per
-    chunk from the values and the records, not counted per element.
+    for a policy or a trace; under a policy the loop is
+    :meth:`FaultPolicy.execute_chunk`, one call per chunk.  Each loop
+    iterates the chunk read through :func:`_chunk`, not a Python-level
+    index per element; an element's run-wide index is ``lo`` plus its
+    offset.  The element counters are derived once per chunk from the
+    values and the records, not counted per element.
     """
     lo, hi = bounds
-    chunk = vals[lo:hi]
     values: list[Any] = []
     records: list = []
     append = values.append
     failed = aborted = False
     retried = 0
-    if policy is not None:
-        execute = policy.execute
-        for i, v in enumerate(chunk, lo):
-            if should_stop():
-                aborted = True
-                break
-            outcome = execute(fn, v, cancel, trace, stage, i, metrics)
-            if outcome.attempts != 1 or outcome.error is not None:
-                retried += outcome.attempts - 1
-                if outcome.error is not None:
-                    records.append((
-                        i, outcome.error, outcome.attempts, outcome.action,
-                    ))
-                if outcome.action == "failed":
+    with _chunk(vals, lo, hi) as chunk:
+        if policy is not None:
+            values, records, retried, failed, aborted = policy.execute_chunk(
+                fn, chunk, lo, should_stop, cancel, trace, stage, metrics
+            )
+        elif trace is None:
+            for v in chunk:
+                if should_stop():
+                    aborted = True
+                    break
+                try:
+                    append(fn(v))
+                except BaseException as exc:
+                    # every element before this one appended its value
+                    records.append((lo + len(values), exc, 1, "failed"))
                     failed = True
                     break
-            # skip degrades to fallback in a map context: slot kept
-            append(outcome.value)
-    elif trace is None:
-        for v in chunk:
-            if should_stop():
-                aborted = True
-                break
-            try:
-                append(fn(v))
-            except BaseException as exc:
-                # every element before this one appended its value
-                records.append((lo + len(values), exc, 1, "failed"))
-                failed = True
-                break
-    else:
-        record = trace.record
-        for i, v in enumerate(chunk, lo):
-            if should_stop():
-                aborted = True
-                break
-            started = time.monotonic()
-            try:
-                append(fn(v))
-            except BaseException as exc:
-                record("execute", stage, i, started, None, 1, repr(exc))
-                records.append((i, exc, 1, "failed"))
-                failed = True
-                break
-            record("execute", stage, i, started, None, 1)
+        else:
+            record = trace.record
+            for i, v in enumerate(chunk, lo):
+                if should_stop():
+                    aborted = True
+                    break
+                started = time.monotonic()
+                try:
+                    append(fn(v))
+                except BaseException as exc:
+                    record("execute", stage, i, started, None, 1, repr(exc))
+                    records.append((i, exc, 1, "failed"))
+                    failed = True
+                    break
+                record("execute", stage, i, started, None, 1)
     skipped = fallbacks = 0
     for _seq, _error, _attempts, action in records:
         if action == "skipped":
@@ -717,9 +725,11 @@ def _run_reduce_chunk(
 ) -> tuple[list[Any], list, dict[str, int], bool]:
     """Fold one chunk from its first element (init enters parent-side).
 
-    A strict left fold over the chunk's slice ``vals[lo:hi]``: the first
-    element seeds it, so a one-chunk float fold onto a neutral ``init``
-    is bit-identical to the sequential loop.  Traced at chunk granularity (one ``execute`` span
+    A strict left fold over the chunk read through :func:`_chunk` (in
+    place: the block itself on shared memory, the call's own list when
+    one chunk spans it): the first element seeds it, so a one-chunk
+    float fold onto a neutral ``init`` is bit-identical to the
+    sequential loop.  Traced at chunk granularity (one ``execute`` span
     per fold): the per-element map hooks would distort a reduction's
     tight loop.
     """
@@ -730,10 +740,11 @@ def _run_reduce_chunk(
     }
     started = time.monotonic()
     try:
-        chunk = iter(vals[lo:hi])
-        acc = fn(next(chunk))
-        for v in chunk:
-            acc = reduce_op(acc, fn(v))
+        with _chunk(vals, lo, hi) as chunk:
+            elements = iter(chunk)
+            acc = fn(next(elements))
+            for v in elements:
+                acc = reduce_op(acc, fn(v))
         counters["delivered"] = hi - lo
         if trace is not None:
             trace.add(
@@ -1301,21 +1312,29 @@ class PoolSession:
             self._drop_member(uid, sentinel=True)
 
     def shutdown(self) -> None:
-        """Retire every member and reap it: join, then terminate, then
-        kill."""
+        """Retire every member and reap it: wait, then terminate, then
+        kill.
+
+        The waits poll ``is_alive()`` (a ``waitpid``), never the
+        member's sentinel pipe: a member forked while another thread's
+        call forked its own can inherit that sibling's sentinel write
+        end, and a ``join`` on the sibling's sentinel then waits out its
+        whole timeout on a process that has already exited.  The reaper
+        and the eviction run this under the registry lock.
+        """
         for uid in list(self._members):
             self._drop_member(uid, sentinel=True)
-        for p in self._retired:
-            p.join(timeout=1.0)
-        for p in self._retired:
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=0.5)
+        if not _wait_exit(self._retired, 1.0):
+            for p in self._retired:
                 if p.is_alive():
-                    # SIGTERM can be blocked or ignored mid-syscall;
-                    # SIGKILL cannot — a straggler never outlives the pool
-                    p.kill()
-                    p.join(timeout=0.5)
+                    p.terminate()
+            if not _wait_exit(self._retired, 0.5):
+                # SIGTERM can be blocked or ignored mid-syscall;
+                # SIGKILL cannot — a straggler never outlives the pool
+                for p in self._retired:
+                    if p.is_alive():
+                        p.kill()
+                _wait_exit(self._retired, 0.5)
         self._prune_dead()
         try:
             while True:
@@ -1324,6 +1343,20 @@ class PoolSession:
             pass
         self.result_q.close()
         self.result_q.cancel_join_thread()
+
+
+def _wait_exit(procs: Sequence[Any], timeout: float) -> bool:
+    """Poll until every process in ``procs`` has exited (True) or
+    ``timeout`` seconds pass (False)."""
+    deadline = time.monotonic() + timeout
+    pause = 0.001
+    while any(p.is_alive() for p in procs):
+        left = deadline - time.monotonic()
+        if left <= 0:
+            return False
+        time.sleep(min(pause, left))
+        pause = min(2 * pause, 0.02)
+    return True
 
 
 #: every registered session, least recently handed back first

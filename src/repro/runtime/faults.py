@@ -28,7 +28,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 #: the three supported poison-element dispositions
 ON_ERROR_MODES = ("fail_fast", "skip", "fallback")
@@ -134,6 +134,12 @@ class FaultPolicy:
     decides the exhausted-retries disposition: re-raise (``fail_fast``,
     the historical behaviour), drop and count the poison element
     (``skip``), or substitute ``fallback``.
+
+    Two loops apply the policy with the same per-element semantics:
+    :meth:`execute` runs one element (a pipeline stage calls it per
+    element), :meth:`execute_chunk` a whole map chunk (the chunk kernel
+    calls it once per chunk, so an element that succeeds on its first
+    attempt costs no call and no :class:`Outcome`).
     """
 
     retries: int = 0
@@ -304,6 +310,98 @@ class FaultPolicy:
         if self.on_error == "fallback":
             return Outcome("fallback", self.fallback, attempts, exc)
         return Outcome("failed", None, attempts, exc)
+
+    def execute_chunk(
+        self,
+        fn: Callable[[Any], Any],
+        chunk: Iterable[Any],
+        lo: int,
+        should_stop: Callable[[], bool],
+        cancel: CancellationToken | None = None,
+        trace: Any = None,
+        stage: str = "",
+        metrics: Any = None,
+    ) -> tuple[list[Any], list[tuple], int, bool, bool]:
+        """:meth:`execute` over a map chunk, looped once per chunk.
+
+        Returns ``(values, records, retried, failed, aborted)``.  The
+        ``i``-th element of ``chunk`` has run-wide index ``lo + i``.
+        ``should_stop`` is read before each element and ends the chunk
+        ``aborted``; a fired ``cancel`` raises, as in :meth:`execute`.
+        The first attempt calls ``fn`` inline, reads the clock only when
+        a trace or ``item_timeout`` needs it, and records the same
+        ``execute`` span.  A failed first attempt hands over to
+        :meth:`_recover`, so only a recovered element builds an
+        :class:`Outcome`: its extra attempts add to ``retried``, an
+        error left standing becomes a ``(seq, error, attempts, action)``
+        record, a skipped element keeps its slot as ``None`` (a map has
+        no slot to drop), and a failed one ends the chunk ``failed``.
+        """
+        values: list[Any] = []
+        append = values.append
+        recovered: list[tuple[int, Outcome]] = []
+        deadline = self.item_timeout
+        aborted = False
+        if trace is None and not deadline:
+            # nothing needs the clock: the plain loop plus the handover
+            for seq, value in enumerate(chunk, lo):
+                if should_stop():
+                    aborted = True
+                    break
+                if cancel is not None:
+                    cancel.raise_if_cancelled()
+                try:
+                    append(fn(value))
+                    continue
+                except CancelledError:
+                    raise
+                except BaseException as exc:
+                    outcome = self._recover(
+                        fn, value, exc, 0.0, cancel, trace, stage, seq,
+                        metrics,
+                    )
+                recovered.append((seq, outcome))
+                if outcome.action == "failed":
+                    break
+                append(outcome.value)
+        else:
+            record = trace.record if trace is not None else None
+            clock = time.monotonic
+            for seq, value in enumerate(chunk, lo):
+                if should_stop():
+                    aborted = True
+                    break
+                if cancel is not None:
+                    cancel.raise_if_cancelled()
+                started = clock()
+                try:
+                    result = fn(value)
+                    ended = clock()
+                    if deadline and ended - started > deadline:
+                        raise _missed(ended - started, deadline)
+                except CancelledError:
+                    raise
+                except BaseException as exc:
+                    outcome = self._recover(
+                        fn, value, exc, started, cancel, trace, stage, seq,
+                        metrics,
+                    )
+                    recovered.append((seq, outcome))
+                    if outcome.action == "failed":
+                        break
+                    append(outcome.value)
+                    continue
+                if record is not None:
+                    record("execute", stage, seq, started, ended, 1)
+                append(result)
+        records = [
+            (seq, o.error, o.attempts, o.action)
+            for seq, o in recovered
+            if o.error is not None
+        ]
+        retried = sum(o.attempts - 1 for _seq, o in recovered)
+        failed = bool(recovered) and recovered[-1][1].action == "failed"
+        return values, records, retried, failed, aborted
 
 
 def _missed(elapsed: float, deadline: float) -> ItemTimeoutError:

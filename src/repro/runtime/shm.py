@@ -7,7 +7,7 @@ implements the ``Transport=shm`` data plane: qualifying inputs (lists of
 plain ints or plain floats, which is also what ``bytes`` and
 ``array.array`` inputs become after ``parallel_for`` materializes them)
 are placed once in a :mod:`multiprocessing.shared_memory` block, workers
-unpack each chunk's slice straight from a typed ``memoryview``, and
+iterate each chunk in place as a slice of a typed ``memoryview``, and
 fully-successful numeric chunks are written into a preallocated output
 region — the result queue then carries only tiny control records
 (claim / chunk-complete / done), never the data.
@@ -161,12 +161,15 @@ class ShmInput:
 class ShmInputView:
     """Worker-side read-only sequence over a shared input block.
 
-    A chunk kernel reads its chunk as one slice, ``view[lo:hi]``, which
-    unpacks the chunk into a list in C: the kernel then iterates plain
-    values instead of paying a Python-level ``__getitem__`` per element.
-    The slice is a copy, never a ``memoryview``, so no buffer export
-    outlives the read — an error whose traceback pins a kernel frame
-    cannot keep the segment mapped past :meth:`close`.
+    Indexing gives one value; slicing gives a ``memoryview`` slice of
+    the block, which the caller must release.  A chunk kernel reads its
+    chunk through :func:`repro.runtime.backend._chunk`, which yields
+    that slice and releases it when the kernel leaves the chunk, also
+    when an element raises: the kernel iterates the block in place,
+    with no per-chunk list of fresh numbers, and no export of the
+    segment outlives the kernel.  An error whose traceback pins a
+    kernel frame pins only a released slice, so :meth:`close` still
+    unmaps.
     """
 
     def __init__(self, spec: dict[str, Any]) -> None:
@@ -181,9 +184,6 @@ class ShmInputView:
         return len(self._view)
 
     def __getitem__(self, i: int | slice) -> Any:
-        if isinstance(i, slice):
-            with self._view[i] as part:
-                return part.tolist()
         return self._view[i]
 
     def close(self) -> None:

@@ -4,6 +4,7 @@ round trip onto real processes."""
 
 import functools
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import subprocess
@@ -875,6 +876,28 @@ class TestPoolLifetime:
         sessions = list(backend_mod._SESSIONS.values())
         assert 1 <= len(sessions) <= threads
         assert sum(s.calls for s in sessions) == total
+
+    def test_shutdown_reaps_without_the_sentinel(self, monkeypatch):
+        # a member forked while another thread forked can hold a
+        # sibling's sentinel write end, so the sibling's sentinel never
+        # reports its exit: shutdown must not wait on sentinels
+        assert parallel_for(
+            range(40), square, workers=2, chunk_size=5, backend="process",
+        ) == [x * x for x in range(40)]
+        pids = set(get_session(2).pids)
+        assert len(pids) == 2
+
+        def deaf_wait(object_list, timeout=None):
+            time.sleep(timeout or 0)
+            return []
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", deaf_wait)
+        started = time.monotonic()
+        shutdown_sessions()
+        elapsed = time.monotonic() - started
+        monkeypatch.undo()
+        assert elapsed < 0.5  # the join bound is 1 s per member
+        assert not pids & _child_pids()
 
     def test_held_session_is_never_reaped(self, monkeypatch):
         # the call holds its session for ~0.4 s, four idle bounds: a

@@ -12,6 +12,7 @@ import functools
 import operator
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.runtime import (
     parallel_reduce,
     plan_chunks,
 )
+from repro.runtime.backend import _run_reduce_chunk
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.profiler import SamplingProfiler
 from repro.runtime.trace import TraceCollector
@@ -223,6 +225,21 @@ class TestReduce:
         assert parallel_reduce(
             xs, float, operator.add, 0.0, sequential=True
         ) == expected
+
+    def test_one_chunk_fold_reads_the_calls_list_in_place(self):
+        # the single chunk of an unobserved serial fold spans the call's
+        # own list: a copy of it would be 800 KB of pointers
+        xs = list(range(100_000))
+        tracemalloc.start()
+        try:
+            partial, _records, _counters, failed = _run_reduce_chunk(
+                0, (0, len(xs)), abs, xs, operator.add,
+            )
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not failed and partial == [sum(xs)]
+        assert peak < 80_000
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_float_fold_is_a_left_fold_per_chunk(self, backend):

@@ -24,7 +24,11 @@ from repro.runtime import (
     parallel_for,
     parallel_reduce,
 )
+from repro.runtime.backend import _run_map_chunk
+from repro.runtime.faults import Outcome
+from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.parallel_for import configured_parallel_for
+from repro.runtime.trace import TraceCollector
 
 
 def flaky(fail_times):
@@ -159,6 +163,153 @@ class TestFaultPolicy:
             assert [("error" in s.detail) for s in attempts] == (
                 [True] * failed + [False] * (out.attempts - failed)
             )
+
+
+# ---------------------------------------------------------------------------
+# the map kernel's policy loop against execute()
+# ---------------------------------------------------------------------------
+
+CHUNK_LO, CHUNK_HI, CHOSEN, SLOW = 20, 32, 25, 28
+STAGE = "loop"
+
+#: ``None`` runs the kernel's own loops; a reference loop runs it as
+#: ``FaultPolicy()`` (fail fast, no retries)
+CHUNK_POLICIES = {
+    "none": None,
+    "default": FaultPolicy(),
+    "retry-fallback": FaultPolicy(
+        retries=1, backoff=0.0, on_error="fallback", fallback=-1
+    ),
+    "skip": FaultPolicy(on_error="skip"),
+    "fail-fast": FaultPolicy(retries=1, backoff=0.0, on_error="fail_fast"),
+    "item-timeout": FaultPolicy(
+        retries=1, backoff=0.0, item_timeout=0.05, on_error="fallback",
+        fallback=-2,
+    ),
+}
+
+
+def chunk_body(kind, slow, token):
+    """A fresh body: ``ok``, or failing at ``CHOSEN`` ``once`` or
+    ``always``, or raising ``CancelledError`` there, or firing ``token``
+    there and returning.  With ``slow``, element ``SLOW``'s first
+    attempt overruns the item timeout."""
+    seen = set()
+
+    def body(x):
+        first = x not in seen
+        seen.add(x)
+        if slow and x == SLOW and first:
+            time.sleep(0.1)
+        if x == CHOSEN:
+            if kind == "cancel":
+                raise CancelledError(f"cancelled at {x}")
+            if kind == "token":
+                token.cancel(f"token fired at {x}")
+            if kind == "always" or (kind == "once" and first):
+                raise ValueError(f"poison {x}")
+        return x * x
+
+    return body
+
+
+def per_element_chunk(policy, fn, vals, lo, hi, trace, metrics, cancel):
+    """The reference: one :meth:`FaultPolicy.execute` call per element,
+    counted per element.  Without a policy the kernel counts any
+    exception, a body's ``CancelledError`` included, as the element's
+    failure, where ``execute`` lets cancellation propagate; and it
+    leaves the token to the executor's stop check."""
+    values, records = [], []
+    counters = dict.fromkeys(
+        ("delivered", "retried", "skipped", "fallbacks", "failed"), 0
+    )
+    for i, v in enumerate(vals[lo:hi], lo):
+        started = time.monotonic()
+        try:
+            outcome = (policy or FaultPolicy()).execute(
+                fn, v, cancel if policy else None, trace, STAGE, i, metrics
+            )
+        except CancelledError as exc:
+            if policy is not None:
+                raise
+            if trace is not None:
+                trace.record("execute", STAGE, i, started, None, 1, repr(exc))
+            outcome = Outcome("failed", None, 1, exc)
+        counters["retried"] += outcome.attempts - 1
+        if outcome.error is not None:
+            records.append((i, outcome.error, outcome.attempts, outcome.action))
+        if outcome.action == "failed":
+            counters["failed"] = 1
+            return values, records, counters, True
+        counters["delivered"] += outcome.action in ("delivered", "fallback")
+        counters["skipped"] += outcome.action == "skipped"
+        counters["fallbacks"] += outcome.action == "fallback"
+        values.append(outcome.value)
+    return values, records, counters, False
+
+
+def observed(run, traced, metered):
+    """What one chunk run returned and recorded, in comparable form."""
+    trace = TraceCollector() if traced else None
+    metrics = MetricsRegistry() if metered else None
+    try:
+        values, records, counters, failed = run(trace, metrics)
+        result = {
+            "values": values,
+            "records": [
+                (seq, type(error).__name__, attempts, action)
+                for seq, error, attempts, action in records
+            ],
+            "counters": counters,
+            "failed": failed,
+        }
+    except CancelledError as exc:
+        result = {"raised": repr(exc)}
+    if trace is not None:
+        result["spans"] = [
+            (s.kind, s.seq, s.detail.get("attempt"), s.detail.get("error"))
+            for s in trace.spans()
+        ]
+    if metrics is not None:
+        result["metrics"] = metrics.snapshot()["metrics"]
+    return result
+
+
+class TestChunkLoopMatchesExecute:
+    @pytest.mark.parametrize("metered", [False, True], ids=["", "metrics"])
+    @pytest.mark.parametrize("traced", [False, True], ids=["", "trace"])
+    @pytest.mark.parametrize(
+        "body", ["ok", "once", "always", "cancel", "token"]
+    )
+    @pytest.mark.parametrize("policy", list(CHUNK_POLICIES))
+    def test_kernel_matches_per_element_execute(
+        self, policy, body, traced, metered
+    ):
+        policy = CHUNK_POLICIES[policy]
+        slow = policy is not None and policy.item_timeout is not None
+        vals = list(range(40))
+
+        def kernel(trace, metrics):
+            token = CancellationToken()
+            values, records, counters, failed, aborted = _run_map_chunk(
+                0, (CHUNK_LO, CHUNK_HI), chunk_body(body, slow, token), vals,
+                policy, lambda: False, trace=trace, stage=STAGE,
+                metrics=metrics, cancel=token,
+            )
+            assert not aborted
+            return values, records, counters, failed
+
+        def reference(trace, metrics):
+            token = CancellationToken()
+            return per_element_chunk(
+                policy, chunk_body(body, slow, token), vals, CHUNK_LO,
+                CHUNK_HI, trace, metrics, token,
+            )
+
+        got = observed(kernel, traced, metered)
+        assert got == observed(reference, traced, metered)
+        if body not in ("ok", "token") and "raised" not in got:
+            assert [r[0] for r in got["records"]] in ([], [CHOSEN])
 
 
 # ---------------------------------------------------------------------------

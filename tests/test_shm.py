@@ -24,6 +24,7 @@ from repro.runtime import (
 )
 from repro.runtime.backend import (
     _SESSIONS,
+    _chunk,
     _run_map_chunk,
     _run_reduce_chunk,
     get_session,
@@ -37,6 +38,7 @@ from repro.runtime.shm import (
     _typed,
     normalize_transport,
 )
+from repro.runtime.faults import CancelledError
 from repro.runtime.trace import TraceCollector
 
 
@@ -360,17 +362,111 @@ class TestRespawnUnderShm:
 
 
 # ---------------------------------------------------------------------------
-# kernels read a chunk's slice: no view of a segment outlives its chunk
+# kernels read a chunk in place: no view of a segment outlives its kernel
 # ---------------------------------------------------------------------------
 
+def boxed(x):
+    return [x]
+
+
+def stop_after(n):
+    """A ``should_stop`` that fires before the ``n``-th element."""
+    calls = iter(range(n + 1))
+    return lambda: next(calls, n) >= n
+
+
+def cancel_at(x, poison):
+    if x == poison:
+        raise CancelledError("stopped by the body")
+    return x * x
+
+
+#: how a kernel leaves its chunk: ``(kernel, body, policy, traced,
+#: stop after)`` — every road out of a kernel must release its read of
+#: the block
+POISON_21 = functools.partial(fail_at, poison=21.0)
+KERNEL_EXITS = {
+    "map-ok": ("map", square, None, False, None),
+    "map-fails": ("map", POISON_21, None, False, None),
+    "map-stopped": ("map", square, None, False, 3),
+    "map-traced-fails": ("map", POISON_21, None, True, None),
+    "policy-ok": ("map", square, FaultPolicy(on_error="fallback"), False, None),
+    "policy-fails": ("map", POISON_21, FaultPolicy(), True, None),
+    "policy-stopped": ("map", square, FaultPolicy(), False, 3),
+    "policy-cancelled": (
+        "map", functools.partial(cancel_at, poison=21.0), FaultPolicy(),
+        False, None,
+    ),
+    "fold-ok": ("fold", square, None, False, None),
+    "fold-fails": ("fold", POISON_21, None, False, None),
+}
+
+
 class TestViewLifetime:
-    def test_slices_are_plain_values(self):
-        for values in ([5, -7, 2**62, 0], [0.25, -1.5, 3.75, 1e300]):
-            block, _reason = ShmInput.build(values)
-            view = ShmInputView(block.spec())
-            assert view[1:3] == values[1:3]
-            assert type(view[1:3]) is list
+    @pytest.mark.parametrize("values", [
+        [5, -7, 2**62, 0, -(2**62), 1],
+        [0.25, -1.5, 3.75, 1e300, -7.0, 2.0**62],
+    ], ids=["q", "d"])
+    def test_chunk_reads_yield_the_lists_values(self, values):
+        block, _reason = ShmInput.build(values)
+        view = ShmInputView(block.spec())
+        try:
+            for lo, hi in ((0, len(values)), (1, 4), (3, len(values))):
+                with _chunk(view, lo, hi) as part:
+                    got = list(part)
+                assert got == values[lo:hi]
+                assert [type(v) for v in got] == [
+                    type(v) for v in values[lo:hi]
+                ]
+                # both kernels read the same values off the block as
+                # off the call's own list
+                for vals in (view, values):
+                    mapped, _r, _c, failed, _a = _run_map_chunk(
+                        0, (lo, hi), boxed, vals, None, lambda: False,
+                    )
+                    assert not failed
+                    assert mapped == [[v] for v in values[lo:hi]]
+                    folded, _r, _c, failed = _run_reduce_chunk(
+                        0, (lo, hi), boxed, vals, operator.add,
+                    )
+                    assert folded == [values[lo:hi]]
+        finally:
             view.close()
+            block.dispose()
+
+    @pytest.mark.parametrize("exit_", list(KERNEL_EXITS))
+    def test_no_export_of_the_segment_survives_the_kernel(self, exit_):
+        kernel, body, policy, traced, stop = KERNEL_EXITS[exit_]
+        values = [float(v) for v in range(32)]
+        block, _reason = ShmInput.build(values)
+        view = ShmInputView(block.spec())
+        try:
+            if kernel == "fold":
+                _v, _r, _c, failed = _run_reduce_chunk(
+                    0, (16, 32), body, view, operator.add,
+                )
+                assert failed == exit_.endswith("fails")
+            else:
+                should_stop = stop_after(stop) if stop else lambda: False
+                try:
+                    _v, _r, _c, failed, aborted = _run_map_chunk(
+                        0, (16, 32), body, view, policy, should_stop,
+                        trace=TraceCollector() if traced else None,
+                    )
+                except CancelledError:
+                    assert exit_ == "policy-cancelled"
+                else:
+                    assert failed == exit_.endswith("fails")
+                    assert aborted == exit_.endswith("stopped")
+            # close() raises BufferError while any export is alive
+            try:
+                view.close()
+                exported = False
+            except BufferError:
+                exported = True
+            assert not exported, "an export of the segment outlived the kernel"
+            assert view._seg._mmap is None
+        finally:
             block.dispose()
 
     def test_kernel_error_does_not_pin_the_segment(self):
