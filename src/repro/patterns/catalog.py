@@ -110,7 +110,7 @@ def default_catalog(
     """
     doall = DoallPattern(max_workers=max_workers)
     pipe = PipelinePattern(fusion=fusion, max_replication=max_replication)
-    mw = MasterWorkerPattern(max_workers=max_workers)
+    mw = MasterWorkerPattern()
     cat = PatternCatalog()
     if prefer == "pipeline":
         order: list[SourcePattern] = [pipe, doall, mw]

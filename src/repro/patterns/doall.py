@@ -17,6 +17,8 @@ dynamic / guided assignment of chunk descriptors — see
 ``repro.runtime.adaptive``) and ``SequentialExecution`` — the latter
 implements the paper's guarantee that a transformed loop "never leads to a
 slowdown in comparison to the former sequential version" on short streams.
+Then the backend, supervision, resilience, data-plane and observability
+knobs; every knob comes from the catalog ``repro.patterns.tuning.KNOBS``.
 """
 
 from __future__ import annotations
@@ -26,33 +28,7 @@ from repro.model.dependence import DepKind
 from repro.frontend.source import SourceLocation
 from repro.model.semantic import LoopModel, SemanticModel
 from repro.patterns.base import PatternMatch, SourcePattern
-from repro.patterns.tuning import (
-    BACKEND,
-    BACKEND_DOMAIN,
-    CHUNK_SIZE,
-    HEDGE,
-    HEDGE_DOMAIN,
-    ITEM_TIMEOUT,
-    ITEM_TIMEOUT_DOMAIN,
-    NUM_WORKERS,
-    ON_ERROR,
-    ON_ERROR_DOMAIN,
-    POOL_RESTARTS,
-    POOL_RESTARTS_DOMAIN,
-    RETRIES,
-    RETRIES_DOMAIN,
-    METRICS,
-    PROFILE,
-    SCHEDULE,
-    SCHEDULE_DOMAIN,
-    SEQUENTIAL_EXECUTION,
-    TRACE,
-    TRANSPORT,
-    TRANSPORT_DOMAIN,
-    BoolParameter,
-    ChoiceParameter,
-    IntParameter,
-)
+from repro.patterns.tuning import knob, knobs
 from repro.tadl.ast import DataParallel, StageRef
 
 
@@ -125,116 +101,16 @@ class DoallPattern(SourcePattern):
 
         loc = f"{model.function.qualname}:{loop.sid}"
         tuning = [
-            IntParameter(
-                name=NUM_WORKERS,
-                target="loop",
-                default=4,
-                lo=1,
-                hi=self.max_workers,
-                location=loc,
-            ),
-            ChoiceParameter(
-                name=CHUNK_SIZE,
-                target="loop",
-                default=1,
-                choices=(1, 2, 4, 8, 16, 32, 64, 128),
-                location=loc,
-            ),
-            ChoiceParameter(
-                name=SCHEDULE,
-                target="loop",
-                default="dynamic",
-                choices=SCHEDULE_DOMAIN,
-                location=loc,
-            ),
-            BoolParameter(
-                name=SEQUENTIAL_EXECUTION,
-                target="loop",
-                default=False,
-                location=loc,
-            ),
-            # the execution substrate: thread by default (safe anywhere);
-            # the tuner flips to process for CPU-bound bodies, where it is
-            # the only value that beats the GIL
-            ChoiceParameter(
-                name=BACKEND,
-                target="loop",
-                default="thread",
-                choices=BACKEND_DOMAIN,
-                location=loc,
-            ),
-            # supervision knobs for the loop body (FaultPolicy); honoured
-            # by configured_parallel_for in the generated code
-            ChoiceParameter(
-                name=RETRIES,
-                target="loop",
-                default=0,
-                choices=RETRIES_DOMAIN,
-                location=loc,
-            ),
-            ChoiceParameter(
-                name=ITEM_TIMEOUT,
-                target="loop",
-                default=0.0,
-                choices=ITEM_TIMEOUT_DOMAIN,
-                location=loc,
-            ),
-            ChoiceParameter(
-                name=ON_ERROR,
-                target="loop",
-                default="fail_fast",
-                choices=ON_ERROR_DOMAIN,
-                location=loc,
-            ),
-            # resilience knobs (process backend): worker respawn budget
-            # and straggler-hedging quantile; defaults keep both off so
-            # the historical behaviour is the zero configuration
-            ChoiceParameter(
-                name=POOL_RESTARTS,
-                target="loop",
-                default=0,
-                choices=POOL_RESTARTS_DOMAIN,
-                location=loc,
-            ),
-            ChoiceParameter(
-                name=HEDGE,
-                target="loop",
-                default=0.0,
-                choices=HEDGE_DOMAIN,
-                location=loc,
-            ),
-            # data-plane knob (process backend): how data crosses the
-            # process boundary; the pickle default works for any data
-            ChoiceParameter(
-                name=TRANSPORT,
-                target="loop",
-                default="pickle",
-                choices=TRANSPORT_DOMAIN,
-                location=loc,
-            ),
-            # observability: per-element span collection (off by default;
-            # the tuner's measure phase and `repro trace` turn it on)
-            BoolParameter(
-                name=TRACE,
-                target="loop",
-                default=False,
-                location=loc,
-            ),
-            # observability: counter/gauge/histogram collection (off by
-            # default; `repro run --metrics-out` / `--live` turn it on)
-            BoolParameter(
-                name=METRICS,
-                target="loop",
-                default=False,
-                location=loc,
-            ),
-            # observability: sampling profiler with per-chunk folded
-            # stacks (off by default; `repro profile` turns it on)
-            BoolParameter(
-                name=PROFILE,
-                target="loop",
-                default=False,
-                location=loc,
+            knob("NumWorkers", "loop", loc, hi=self.max_workers),
+            *knobs(
+                "loop", loc,
+                "ChunkSize", "Schedule", "SequentialExecution", "Backend",
+                # supervision (FaultPolicy), honoured by
+                # configured_parallel_for in the generated code
+                "Retries", "ItemTimeout", "OnError",
+                # process backend: resilience and the data plane
+                "PoolRestarts", "Hedge", "Transport",
+                "Trace", "Metrics", "Profile",
             ),
         ]
 

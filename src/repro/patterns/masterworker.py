@@ -6,28 +6,18 @@ straight-line region with two or more mutually independent statements of
 non-trivial cost — the paper's Fig. 3d builds exactly this for the three
 filter applications before nesting it into a pipeline.
 
-The detector works on any statement sequence; :class:`PatternCatalog`
-applies it to loop bodies (when neither DOALL nor pipeline matched) and
-:func:`match_region` exposes it for straight-line code such as a function
-body.
+:class:`PatternCatalog` applies the detector to loop bodies when neither
+DOALL nor pipeline matched; :func:`independent_groups` works on any
+statement sequence.
 """
 
 from __future__ import annotations
 
-from repro.frontend.ir import IRStatement
 from repro.frontend.source import SourceLocation
 from repro.model.dependence import DependenceGraph
 from repro.model.semantic import LoopModel, SemanticModel
 from repro.patterns.base import PatternMatch, SourcePattern, stage_names
-from repro.patterns.tuning import (
-    BACKEND,
-    BACKEND_DOMAIN,
-    NUM_WORKERS,
-    SEQUENTIAL_EXECUTION,
-    BoolParameter,
-    ChoiceParameter,
-    IntParameter,
-)
+from repro.patterns.tuning import knobs
 from repro.tadl.ast import Parallel, Pipeline, StageRef
 
 
@@ -65,14 +55,8 @@ def independent_groups(
 class MasterWorkerPattern(SourcePattern):
     name = "masterworker"
 
-    def __init__(
-        self,
-        min_group: int = 2,
-        max_workers: int = 8,
-        min_share: float = 0.08,
-    ):
+    def __init__(self, min_group: int = 2, min_share: float = 0.08):
         self.min_group = min_group
-        self.max_workers = max_workers
         #: with runtime information, a group member below this share of the
         #: loop's time is not worth a worker (threading overhead dominates)
         self.min_share = min_share
@@ -122,29 +106,8 @@ class MasterWorkerPattern(SourcePattern):
         tadl = elements[0] if len(elements) == 1 else Pipeline(tuple(elements))
 
         loc = f"{model.function.qualname}:{loop.sid}"
-        tuning = [
-            IntParameter(
-                name=NUM_WORKERS,
-                target="workers",
-                default=min(len(best), self.max_workers),
-                lo=1,
-                hi=self.max_workers,
-                location=loc,
-            ),
-            BoolParameter(
-                name=SEQUENTIAL_EXECUTION,
-                target="workers",
-                default=False,
-                location=loc,
-            ),
-            ChoiceParameter(
-                name=BACKEND,
-                target="workers",
-                default="thread",
-                choices=BACKEND_DOMAIN,
-                location=loc,
-            ),
-        ]
+        # the generated code reads only these two (transform/codegen.py)
+        tuning = knobs("workers", loc, "SequentialExecution", "Backend")
         return PatternMatch(
             pattern=self.name,
             function=model.function.qualname,
@@ -160,62 +123,3 @@ class MasterWorkerPattern(SourcePattern):
             notes=[f"independent group of {len(best)} statements"],
             extras={"group": best},
         )
-
-
-def match_region(
-    model: SemanticModel,
-    statements: list[IRStatement],
-    deps: DependenceGraph,
-    min_group: int = 2,
-    max_workers: int = 8,
-) -> PatternMatch | None:
-    """Master/worker over a straight-line region (no enclosing loop)."""
-    detector = MasterWorkerPattern(min_group=min_group, max_workers=max_workers)
-    sids = [s.sid for s in statements]
-    if len(sids) < min_group:
-        return None
-    groups = independent_groups(sids, deps)
-    best = max(groups, key=len) if groups else []
-    if len(best) < min_group:
-        return None
-    names = stage_names(len(sids))
-    by_sid = dict(zip(sids, names))
-    refs = tuple(StageRef(by_sid[s]) for s in best)
-    loc = f"{model.function.qualname}:{sids[0]}"
-    return PatternMatch(
-        pattern=detector.name,
-        function=model.function.qualname,
-        location=SourceLocation(
-            function=model.function.qualname,
-            sid=sids[0],
-            line=statements[0].line,
-        ),
-        tadl=Parallel(refs),
-        stages={by_sid[s]: [s] for s in best},
-        tuning=[
-            IntParameter(
-                name=NUM_WORKERS,
-                target="workers",
-                default=min(len(best), max_workers),
-                lo=1,
-                hi=max_workers,
-                location=loc,
-            ),
-            BoolParameter(
-                name=SEQUENTIAL_EXECUTION,
-                target="workers",
-                default=False,
-                location=loc,
-            ),
-            ChoiceParameter(
-                name=BACKEND,
-                target="workers",
-                default="thread",
-                choices=BACKEND_DOMAIN,
-                location=loc,
-            ),
-        ],
-        confidence=0.6,
-        notes=[f"independent region of {len(best)} statements"],
-        extras={"group": best},
-    )

@@ -18,7 +18,9 @@ The five rule families:
 * **PLTP** — tuning parameters: ``StageReplication`` and
   ``OrderPreservation`` for side-effect-free stages, ``StageFusion`` for
   each adjacent stage pair, ``SequentialExecution`` and ``BufferCapacity``
-  for the pipeline as a whole.
+  for the pipeline as a whole; then per-stage fault-policy knobs and the
+  pipeline's stall and observability knobs, all from the catalog
+  ``repro.patterns.tuning.KNOBS``.
 """
 
 from __future__ import annotations
@@ -34,26 +36,7 @@ from repro.patterns.base import (
     StagePartition,
     stage_names,
 )
-from repro.patterns.tuning import (
-    BUFFER_CAPACITY,
-    ITEM_TIMEOUT,
-    ITEM_TIMEOUT_DOMAIN,
-    ON_ERROR,
-    ON_ERROR_DOMAIN,
-    ORDER_PRESERVATION,
-    RETRIES,
-    RETRIES_DOMAIN,
-    SEQUENTIAL_EXECUTION,
-    STAGE_FUSION,
-    STAGE_REPLICATION,
-    METRICS,
-    STALL_TIMEOUT,
-    STALL_TIMEOUT_DOMAIN,
-    TRACE,
-    BoolParameter,
-    ChoiceParameter,
-    IntParameter,
-)
+from repro.patterns.tuning import knob, knobs
 from repro.tadl.ast import Parallel, Pipeline, StageRef, TadlNode
 
 #: implicit first stage generating the element stream (PLPL)
@@ -363,7 +346,7 @@ class PipelinePattern(SourcePattern):
         if loop.profile is not None:
             hot = self._hottest_stage(partition, loop)
             if hot is not None and partition.replicable[hot]:
-                key = f"{STAGE_REPLICATION}@{partition.names[hot]}"
+                key = f"StageReplication@{partition.names[hot]}"
                 try:
                     match.parameter(key).value = 2
                 except KeyError:
@@ -392,106 +375,17 @@ class PipelinePattern(SourcePattern):
         for i, name in enumerate(partition.names):
             if effectively_replicable[i]:
                 params.append(
-                    IntParameter(
-                        name=STAGE_REPLICATION,
-                        target=name,
-                        default=1,
-                        lo=1,
-                        hi=self.max_replication,
-                        location=loc,
-                    )
+                    knob("StageReplication", name, loc, hi=self.max_replication)
                 )
-                params.append(
-                    BoolParameter(
-                        name=ORDER_PRESERVATION,
-                        target=name,
-                        default=True,
-                        location=loc,
-                    )
-                )
-        for i in range(len(partition) - 1):
-            pair = f"{partition.names[i]}/{partition.names[i + 1]}"
-            params.append(
-                BoolParameter(
-                    name=STAGE_FUSION, target=pair, default=False, location=loc
-                )
-            )
-        params.append(
-            BoolParameter(
-                name=SEQUENTIAL_EXECUTION,
-                target="pipeline",
-                default=False,
-                location=loc,
-            )
-        )
-        params.append(
-            ChoiceParameter(
-                name=BUFFER_CAPACITY,
-                target="pipeline",
-                default=8,
-                choices=(1, 2, 4, 8, 16, 32, 64),
-                location=loc,
-            )
-        )
+                params.append(knob("OrderPreservation", name, loc))
+        for a, b in zip(partition.names, partition.names[1:]):
+            params.append(knob("StageFusion", f"{a}/{b}", loc))
+        params += knobs("pipeline", loc, "SequentialExecution", "BufferCapacity")
         # supervision knobs: per-stage fault policy + the pipeline-wide
         # stall watchdog, addressable like any performance parameter
         for name in partition.names:
-            params.append(
-                ChoiceParameter(
-                    name=RETRIES,
-                    target=name,
-                    default=0,
-                    choices=RETRIES_DOMAIN,
-                    location=loc,
-                )
-            )
-            params.append(
-                ChoiceParameter(
-                    name=ITEM_TIMEOUT,
-                    target=name,
-                    default=0.0,
-                    choices=ITEM_TIMEOUT_DOMAIN,
-                    location=loc,
-                )
-            )
-            params.append(
-                ChoiceParameter(
-                    name=ON_ERROR,
-                    target=name,
-                    default="fail_fast",
-                    choices=ON_ERROR_DOMAIN,
-                    location=loc,
-                )
-            )
-        params.append(
-            ChoiceParameter(
-                name=STALL_TIMEOUT,
-                target="pipeline",
-                default=30.0,
-                choices=STALL_TIMEOUT_DOMAIN,
-                location=loc,
-            )
-        )
-        # observability: per-element span collection (off by default; the
-        # tuner's measure phase and `repro trace` turn it on)
-        params.append(
-            BoolParameter(
-                name=TRACE,
-                target="pipeline",
-                default=False,
-                location=loc,
-            )
-        )
-        # observability: counter/gauge/histogram collection (off by
-        # default; `repro run --metrics-out` / `--live` turn it on)
-        params.append(
-            BoolParameter(
-                name=METRICS,
-                target="pipeline",
-                default=False,
-                location=loc,
-            )
-        )
+            params += knobs(name, loc, "Retries", "ItemTimeout", "OnError")
+        params += knobs("pipeline", loc, "StallTimeout", "Trace", "Metrics")
         return params
 
     def _hottest_stage(self, partition, loop) -> int | None:

@@ -2,10 +2,10 @@
 
 Paper, section 2.1: *"Changing their values has implications on the
 runtime behavior of a parallel application, but not on its correct
-semantics."*  Every detected pattern carries a list of these; they are
-serialized into the tuning configuration file
-(:mod:`repro.transform.tuningfile`) and explored by the auto tuner
-(:mod:`repro.tuning`).
+semantics."*  Every detected pattern carries a list of these, built from
+the one knob catalog :data:`KNOBS`; they are serialized into the tuning
+configuration file (:mod:`repro.transform.tuningfile`) and explored by
+the auto tuner (:mod:`repro.tuning`).
 """
 
 from __future__ import annotations
@@ -135,85 +135,72 @@ def apply_config(
         p.value = value
 
 
-# Canonical parameter names used across the code base (PLTP, section 2.2).
-STAGE_REPLICATION = "StageReplication"
-ORDER_PRESERVATION = "OrderPreservation"
-STAGE_FUSION = "StageFusion"
-SEQUENTIAL_EXECUTION = "SequentialExecution"
-NUM_WORKERS = "NumWorkers"
-CHUNK_SIZE = "ChunkSize"
-SCHEDULE = "Schedule"
-BUFFER_CAPACITY = "BufferCapacity"
+#: legal values of a boolean knob
+BOOL = (False, True)
 
-#: Schedule values the tuner explores: fixed-stride chunks assigned
-#: round-robin (static) or claimed from a shared counter (dynamic), and
-#: geometrically shrinking descriptors à la OpenMP guided
-#: self-scheduling (guided, where ChunkSize is the minimum chunk).  The
-#: runtime also accepts ``adaptive``, an alias of guided, so it is left
-#: out here: a trial on it would re-measure guided — see
-#: repro.runtime.adaptive
-SCHEDULE_DOMAIN = ("static", "dynamic", "guided")
+#: Every knob a detector emits, each defined once here:
+#: ``name -> (parameter type, default, tuner domain)``.  A count knob
+#: (``IntParameter``) spans ``1..hi`` and its detector knows ``hi`` (a
+#: worker or replication limit), so its domain here is ``None``.  The
+#: runtime validates the same values against its own sets
+#: (``BACKENDS``, ``SCHEDULES``, ``TRANSPORTS``, ``ON_ERROR_MODES``), and
+#: a test pins each domain below to them.
+KNOBS: dict[str, tuple[type, Any, tuple | None]] = {
+    # PLTP (paper section 2.2) and the DOALL loop's own knobs
+    "NumWorkers": (IntParameter, 4, None),
+    "StageReplication": (IntParameter, 1, None),
+    "OrderPreservation": (BoolParameter, True, BOOL),
+    "StageFusion": (BoolParameter, False, BOOL),
+    "SequentialExecution": (BoolParameter, False, BOOL),
+    "BufferCapacity": (ChoiceParameter, 8, (1, 2, 4, 8, 16, 32, 64)),
+    "ChunkSize": (ChoiceParameter, 1, (1, 2, 4, 8, 16, 32, 64, 128)),
+    # fixed-stride chunks dealt round-robin (static), claimed from a
+    # shared counter (dynamic), or shrinking geometrically down to
+    # ChunkSize (guided, OpenMP's guided self-scheduling).  The runtime
+    # also accepts ``adaptive``, an alias of guided; a trial on it would
+    # re-measure guided, so it is left out
+    "Schedule": (ChoiceParameter, "dynamic", ("static", "dynamic", "guided")),
+    # the execution substrate, in increasing setup-cost order: thread is
+    # safe anywhere; process is the only one that beats the GIL
+    "Backend": (ChoiceParameter, "thread", ("serial", "thread", "process")),
+    # how data crosses the process boundary: pickle works for any data,
+    # shm is zero-copy for flat numeric data (else a recorded downgrade)
+    "Transport": (ChoiceParameter, "pickle", ("pickle", "shm")),
+    # supervision: the per-element fault policy and the pipeline's stall
+    # watchdog (0 disables a timeout)
+    "Retries": (ChoiceParameter, 0, (0, 1, 2, 3)),
+    "ItemTimeout": (ChoiceParameter, 0.0, (0.0, 0.1, 0.5, 1.0, 5.0, 30.0)),
+    "OnError": (
+        ChoiceParameter, "fail_fast", ("fail_fast", "skip", "fallback"),
+    ),
+    "StallTimeout": (ChoiceParameter, 30.0, (0.0, 1.0, 5.0, 30.0, 120.0)),
+    # resilience (process backend): the dead-worker respawn budget, and
+    # the latency quantile above which a straggling chunk gets a
+    # speculative duplicate (0.0 = off)
+    "PoolRestarts": (ChoiceParameter, 0, (0, 1, 2, 3)),
+    "Hedge": (ChoiceParameter, 0.0, (0.0, 0.9, 0.95, 0.99)),
+    # observability, off by default: spans (repro.runtime.trace),
+    # counters and histograms (metrics), the sampling profiler (profiler)
+    "Trace": (BoolParameter, False, BOOL),
+    "Metrics": (BoolParameter, False, BOOL),
+    "Profile": (BoolParameter, False, BOOL),
+}
 
-# The execution substrate.  Like every other knob it changes runtime
-# behaviour, never semantics: ``serial`` runs in the calling thread,
-# ``thread`` on the supervised thread pool (I/O-bound work), ``process``
-# on a multiprocessing pool (CPU-bound work — the only substrate that
-# beats the GIL).  See repro.runtime.backend.
-BACKEND = "Backend"
 
-#: legal Backend values, in increasing setup-cost order
-BACKEND_DOMAIN = ("serial", "thread", "process")
+def knob(
+    name: str, target: str, location: str, hi: int | None = None
+) -> TuningParameter:
+    """The catalog knob ``name`` anchored at ``target``; a count knob
+    takes its upper bound ``hi`` from the detector."""
+    kind, default, domain = KNOBS[name]
+    common = dict(name=name, target=target, default=default, location=location)
+    if kind is IntParameter:
+        return IntParameter(**common, lo=1, hi=hi)
+    if kind is BoolParameter:
+        return BoolParameter(**common)
+    return ChoiceParameter(**common, choices=domain)
 
-# Supervision knobs (fault policies + stall watchdog).  Like the
-# performance knobs, "changing their values has implications on the
-# runtime behavior of a parallel application, but not on its correct
-# semantics" — they are serialized into the same tuning file and applied
-# by the same ``configure`` path, re-tunable without recompilation.
-RETRIES = "Retries"
-ITEM_TIMEOUT = "ItemTimeout"
-ON_ERROR = "OnError"
-STALL_TIMEOUT = "StallTimeout"
 
-#: shared domains for the supervision knobs (0 disables a timeout)
-RETRIES_DOMAIN = (0, 1, 2, 3)
-ITEM_TIMEOUT_DOMAIN = (0.0, 0.1, 0.5, 1.0, 5.0, 30.0)
-ON_ERROR_DOMAIN = ("fail_fast", "skip", "fallback")
-STALL_TIMEOUT_DOMAIN = (0.0, 1.0, 5.0, 30.0, 120.0)
-
-# Observability: span tracing (repro.runtime.trace).  Off by default —
-# the tuning cycle's measure phase turns it on to get per-stage timings
-# instead of tuning blind between whole-run wall clocks.
-TRACE = "Trace"
-
-# Observability: counter/gauge/histogram collection
-# (repro.runtime.metrics).  Off by default like Trace; `repro run
-# --metrics-out` and the live dashboard turn it on.
-METRICS = "Metrics"
-
-# Observability: sampling profiler (repro.runtime.profiler).  Off by
-# default; when on, workers stamp per-chunk work windows, sample their
-# own stacks at a fixed Hz, and ship folded stacks over the chunk-result
-# road.  `repro profile` and `repro run --profile-out` turn it on.
-PROFILE = "Profile"
-
-# Resilience knobs (crash recovery; see repro.runtime.backend).
-# PoolRestarts bounds how many dead process-pool workers a run may
-# respawn (0 = historical fail-on-loss); Hedge is the latency quantile
-# above which a straggling chunk gets a speculative duplicate dispatch
-# (0.0 = off).  Both are behaviour-only: recovered and hedged runs
-# produce the same results as undisturbed ones.
-POOL_RESTARTS = "PoolRestarts"
-HEDGE = "Hedge"
-
-POOL_RESTARTS_DOMAIN = (0, 1, 2, 3)
-HEDGE_DOMAIN = (0.0, 0.9, 0.95, 0.99)
-
-# Data-plane knob (process backend; see repro.runtime.shm).  Transport
-# picks how inputs/results cross the process boundary: ``pickle``
-# (universal) or ``shm`` (zero-copy shared memory for flat numeric
-# data, with a recorded downgrade when data does not qualify).  It is
-# behaviour-only: results, error records and accounting are
-# transport-independent.
-TRANSPORT = "Transport"
-
-TRANSPORT_DOMAIN = ("pickle", "shm")
+def knobs(target: str, location: str, *names: str) -> list[TuningParameter]:
+    """The catalog knobs ``names``, in order, all anchored at ``target``."""
+    return [knob(name, target, location) for name in names]

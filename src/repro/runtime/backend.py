@@ -93,9 +93,6 @@ from repro.runtime.trace import TraceCollector
 #: the three execution substrates, in increasing setup-cost order
 BACKENDS = ("serial", "thread", "process")
 
-#: canonical tuning-parameter name (the performance knobs' sibling)
-BACKEND = "Backend"
-
 
 class TuningError(ValueError):
     """A tuning parameter value is outside its legal domain.
@@ -1510,6 +1507,10 @@ def _pool_wait(result_q, procs: Sequence[Any], timeout: float) -> None:
         time.sleep(0.001)
 
 
+#: chunk latencies observed before straggler hedging may fire
+HEDGE_MIN_SAMPLES = 3
+
+
 def run_process_chunks(
     payload: ProcessPayload,
     chunks: Sequence[tuple[int, int]],
@@ -1519,7 +1520,6 @@ def run_process_chunks(
     cancel: CancellationToken | None = None,
     max_restarts: int = 0,
     hedge: float = 0.0,
-    hedge_min_samples: int = 3,
     completed: frozenset[int] = frozenset(),
     observers: dict[str, Any] | None = None,
     label: str = "loop",
@@ -1548,7 +1548,7 @@ def run_process_chunks(
       :class:`ChunkResult` s carrying per-element
       :class:`WorkerLostError` records.
     * ``hedge`` > 0 turns on straggler hedging: once
-      ``hedge_min_samples`` chunk latencies are observed, a chunk older
+      :data:`HEDGE_MIN_SAMPLES` chunk latencies are observed, a chunk older
       than the ``hedge`` quantile of that sample gets a speculative
       duplicate dispatch.
     * ``completed`` chunk indices (a resumed run's journal) are never
@@ -1715,10 +1715,30 @@ def run_process_chunks(
             or (cancel is not None and cancel.cancelled)
         )
 
-    def redispatch_to(p2_name: str, assigned: list[tuple[int, int]]) -> None:
+    def respawn(chunks: list[int], cause: str, **span: Any) -> None:
+        """Spend one restart on a fresh worker for ``chunks``: after a
+        death, or in the final sweep.  Each chunk goes out at the highest
+        attempt seen for it plus one."""
+        nonlocal restarts_used
+        restarts_used += 1
+        assigned = [(k, attempts.get(k, 0) + 1) for k in chunks]
+        for k in chunks:
+            inflight.pop(k, None)
+        _uid2, p2 = spawn(assigned)
+        note_recovery(
+            RecoveryEvent(
+                "respawn", p2.name, tuple(chunks),
+                detail=f"{cause} restarts_used={restarts_used}",
+            )
+        )
+        if trace is not None:
+            trace.instant(
+                "respawn", label, -1, worker=p2.name, chunks=len(chunks),
+                **span,
+            )
         for k, att in assigned:
             note_recovery(
-                RecoveryEvent("redispatch", p2_name, (k,), detail=f"attempt={att}")
+                RecoveryEvent("redispatch", p2.name, (k,), detail=f"attempt={att}")
             )
             if trace is not None:
                 trace.instant(
@@ -1726,7 +1746,6 @@ def run_process_chunks(
                 )
 
     def handle_death(uid: int) -> None:
-        nonlocal restarts_used
         p = procs[uid]
         dead_uids.add(uid)
         session.note_dead(uid)
@@ -1744,29 +1763,13 @@ def run_process_chunks(
         )
         if not lost or unwinding() or restarts_used >= max_restarts:
             return
-        restarts_used += 1
-        assigned = [(k, attempts.get(k, 1) + 1) for k in lost]
-        for k in lost:
-            inflight.pop(k, None)
-        _uid2, p2 = spawn(assigned)
-        note_recovery(
-            RecoveryEvent(
-                "respawn", p2.name, tuple(lost),
-                detail=f"replaces={p.name} restarts_used={restarts_used}",
-            )
-        )
-        if trace is not None:
-            trace.instant(
-                "respawn", label, -1,
-                worker=p2.name, replaces=p.name, chunks=len(lost),
-            )
-        redispatch_to(p2.name, assigned)
+        respawn(lost, f"replaces={p.name}", replaces=p.name)
 
     def maybe_hedge() -> None:
         nonlocal hedges_used
         if hedge <= 0.0 or unwinding():
             return
-        if len(latencies) < hedge_min_samples or hedges_used >= nworkers:
+        if len(latencies) < HEDGE_MIN_SAMPLES or hedges_used >= nworkers:
             return
         durs = sorted(latencies)
         n = len(durs)
@@ -1828,6 +1831,7 @@ def run_process_chunks(
                 for k in range(slot, n_chunks, nworkers):
                     if k not in skip:
                         inflight.setdefault(k, set()).add(uid)
+                        attempts[k] = 1
         while True:
             # bridge the token into the pool: workers read only the flag
             if cancel is not None and cancel.cancelled:
@@ -1858,28 +1862,7 @@ def run_process_chunks(
                     # can go missing without ever appearing in the
                     # ownership ledger.  Re-dispatch everything missing
                     # to one fresh worker while budget remains.
-                    restarts_used += 1
-                    assigned = [
-                        (k, attempts.get(k, 0) + 1) for k in missing
-                    ]
-                    for k in missing:
-                        inflight.pop(k, None)
-                    _uid2, p2 = spawn(assigned)
-                    note_recovery(
-                        RecoveryEvent(
-                            "respawn", p2.name, tuple(missing),
-                            detail=(
-                                "final sweep "
-                                f"restarts_used={restarts_used}"
-                            ),
-                        )
-                    )
-                    if trace is not None:
-                        trace.instant(
-                            "respawn", label, -1,
-                            worker=p2.name, chunks=len(missing), sweep=True,
-                        )
-                    redispatch_to(p2.name, assigned)
+                    respawn(missing, "final sweep", sweep=True)
                     continue
                 break
             try:
@@ -1983,33 +1966,3 @@ def invoke_task(task: Callable[[], Any]) -> Any:
     """Module-level thunk runner: the master/worker body on every
     backend (picklable by reference for the process pool)."""
     return task()
-
-
-# ---------------------------------------------------------------------------
-# the stage-worker seam (pipelines)
-# ---------------------------------------------------------------------------
-
-def stage_worker_factory(
-    backend: str, events: list[BackendEvent] | None = None
-) -> Callable[..., threading.Thread]:
-    """The spawner pipelines use for their stage workers.
-
-    Thread-backed for every backend today: stage workers of a ``process``
-    pipeline still run on threads (recorded as a :class:`BackendEvent`)
-    until a later release lifts whole stages onto processes — the factory
-    exists so that change lands behind one interface.
-    """
-    name = normalize_backend(backend)
-    if name == "process" and events is not None:
-        events.append(
-            BackendEvent(
-                "process",
-                "thread",
-                "pipeline stage workers are thread-bound in this release",
-            )
-        )
-
-    def spawn(target: Callable[[], None], name: str) -> threading.Thread:
-        return threading.Thread(target=target, name=name, daemon=True)
-
-    return spawn

@@ -460,12 +460,3 @@ class StageCounters:
                 "fallbacks": self.fallbacks,
                 "failed": self.failed,
             }
-
-
-# canonical tuning-parameter names for the fault knobs (the performance
-# knobs' siblings; see repro.patterns.tuning for those)
-RETRIES = "Retries"
-ITEM_TIMEOUT = "ItemTimeout"
-ON_ERROR = "OnError"
-STALL_TIMEOUT = "StallTimeout"
-POOL_RESTARTS = "PoolRestarts"

@@ -40,13 +40,10 @@ import threading
 import time
 from typing import Any, Iterable
 
-from repro.runtime.backend import (
-    BackendEvent,
-    normalize_backend,
-    stage_worker_factory,
-)
+from repro.runtime.backend import BackendEvent, normalize_backend
 from repro.runtime.buffer import BoundedBuffer, EndOfStream
 from repro.runtime.faults import (
+    ON_ERROR_MODES,
     CancellationToken,
     CancelledError,
     ErrorRecord,
@@ -335,7 +332,7 @@ class Pipeline:
             elif pname == "OnError":
                 policy = self._policy_for(target)
                 if policy is not None:
-                    if value not in ("fail_fast", "skip", "fallback"):
+                    if value not in ON_ERROR_MODES:
                         raise ValueError(f"invalid OnError value {value!r}")
                     policy.on_error = str(value)
             elif pname == "Backend" or pname in _OBSERVER_KNOBS:
@@ -556,13 +553,14 @@ class Pipeline:
     def _stream_threaded(self, values, elements: list[Element]):
         self.backend_events = []
         trace, metrics, profiler = self._resolve_observers()
-        # every stage worker comes from the backend seam, so lifting
-        # whole stages onto processes later is a factory change, not a
-        # pipeline rewrite; a requested process backend records its
-        # thread-bound downgrade here
-        spawn = stage_worker_factory(self.backend, self.backend_events)
-        if trace is not None:
-            for event in self.backend_events:
+        if self.backend == "process":
+            # stage workers are threads on every backend: a requested
+            # process backend records its downgrade
+            event = BackendEvent(
+                "process", "thread", "pipeline stage workers run on threads"
+            )
+            self.backend_events.append(event)
+            if trace is not None:
                 trace.instant(
                     "fallback", self.name, -1,
                     requested=event.requested,
@@ -620,7 +618,11 @@ class Pipeline:
             except CancelledError:
                 pass
 
-        threads.append(spawn(generator, f"{self.name}-gen"))
+        threads.append(
+            threading.Thread(
+                target=generator, name=f"{self.name}-gen", daemon=True
+            )
+        )
 
         # elements each stage replica has taken in a batch but not yet
         # started: still queued for the stage, though no longer in its
@@ -772,9 +774,10 @@ class Pipeline:
 
             for r in range(replication):
                 threads.append(
-                    spawn(
-                        functools.partial(stage_worker, r),
-                        f"{self.name}-{el.name}-{r}",
+                    threading.Thread(
+                        target=functools.partial(stage_worker, r),
+                        name=f"{self.name}-{el.name}-{r}",
+                        daemon=True,
                     )
                 )
 

@@ -46,9 +46,6 @@ from typing import Any, Sequence
 #: the two process-backend data planes (the ``Transport`` knob's domain)
 TRANSPORTS = ("pickle", "shm")
 
-#: canonical tuning-parameter names (mirrors ``backend.BACKEND``)
-TRANSPORT = "Transport"
-
 #: per-chunk completion tags in the output region header
 _TAG_EMPTY = 0
 _TAG_INT = 1

@@ -24,13 +24,16 @@ class TuningConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "TuningConfig":
+        """Read a tuning file as ``write_tuning_file`` writes it: every
+        pattern entry's parameters, keyed by each one's ``location``."""
         data = json.loads(Path(path).read_text())
         cfg = cls()
-        for entry in data.get("parameters", []):
-            loc = entry.get("location", "")
-            cfg.by_location.setdefault(loc, {})[
-                f"{entry['name']}@{entry['target']}"
-            ] = entry.get("value")
+        for pattern in data.get("patterns", []):
+            for entry in pattern.get("parameters", []):
+                loc = entry.get("location", "")
+                cfg.by_location.setdefault(loc, {})[
+                    f"{entry['name']}@{entry['target']}"
+                ] = entry.get("value")
         return cfg
 
     def for_location(self, location: str) -> dict[str, Any]:

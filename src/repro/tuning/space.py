@@ -6,172 +6,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.patterns.tuning import TuningParameter
+from repro.patterns.tuning import ChoiceParameter, TuningParameter
 
 Config = dict[str, Any]
-
-
-def fault_dimensions(
-    stage_names: list[str], stall_timeout: bool = True
-) -> list[TuningParameter]:
-    """The supervision knobs as search-space dimensions.
-
-    One ``Retries`` / ``ItemTimeout`` / ``OnError`` triple per stage plus
-    the pipeline-wide ``StallTimeout`` — the same keys
-    ``Pipeline.configure`` honours, so a tuner can trade robustness
-    against throughput (retries cost time; skip costs elements).
-    """
-    from repro.patterns.tuning import (
-        ITEM_TIMEOUT,
-        ITEM_TIMEOUT_DOMAIN,
-        ON_ERROR,
-        ON_ERROR_DOMAIN,
-        RETRIES,
-        RETRIES_DOMAIN,
-        STALL_TIMEOUT,
-        STALL_TIMEOUT_DOMAIN,
-        ChoiceParameter,
-    )
-
-    params: list[TuningParameter] = []
-    for name in stage_names:
-        params.append(
-            ChoiceParameter(
-                name=RETRIES, target=name, default=0, choices=RETRIES_DOMAIN
-            )
-        )
-        params.append(
-            ChoiceParameter(
-                name=ITEM_TIMEOUT,
-                target=name,
-                default=0.0,
-                choices=ITEM_TIMEOUT_DOMAIN,
-            )
-        )
-        params.append(
-            ChoiceParameter(
-                name=ON_ERROR,
-                target=name,
-                default="fail_fast",
-                choices=ON_ERROR_DOMAIN,
-            )
-        )
-    if stall_timeout:
-        params.append(
-            ChoiceParameter(
-                name=STALL_TIMEOUT,
-                target="pipeline",
-                default=30.0,
-                choices=STALL_TIMEOUT_DOMAIN,
-            )
-        )
-    return params
-
-
-def with_fault_dimensions(
-    space: "ParameterSpace", stage_names: list[str], stall_timeout: bool = True
-) -> "ParameterSpace":
-    """A copy of ``space`` widened by the supervision dimensions."""
-    return ParameterSpace(
-        parameters=list(space.parameters)
-        + fault_dimensions(stage_names, stall_timeout=stall_timeout)
-    )
-
-
-def backend_dimension(target: str = "loop") -> TuningParameter:
-    """The execution substrate as a search-space dimension.
-
-    The same ``Backend@<target>`` key ``configured_parallel_for`` and
-    ``Pipeline.configure`` honour; a tuner explores it like any other
-    knob, so the thread/process decision is measured per workload instead
-    of guessed (I/O-bound loops keep threads, CPU-bound ones discover the
-    process pool's multicore speedup).
-    """
-    from repro.patterns.tuning import BACKEND, BACKEND_DOMAIN, ChoiceParameter
-
-    return ChoiceParameter(
-        name=BACKEND, target=target, default="thread", choices=BACKEND_DOMAIN
-    )
-
-
-def with_backend_dimension(
-    space: "ParameterSpace", target: str = "loop"
-) -> "ParameterSpace":
-    """A copy of ``space`` widened by the ``Backend`` dimension."""
-    return ParameterSpace(
-        parameters=list(space.parameters) + [backend_dimension(target)]
-    )
-
-
-def schedule_dimension(target: str = "loop") -> TuningParameter:
-    """The chunk-assignment discipline as a search-space dimension.
-
-    The same ``Schedule@<target>`` key ``configured_parallel_for``
-    honours, widened past the classic static/dynamic pair: ``guided``
-    plans geometrically shrinking descriptors (OpenMP guided
-    self-scheduling — ``ChunkSize`` becomes the minimum chunk).  The
-    runtime's ``adaptive`` is an alias of ``guided``
-    (``repro.runtime.adaptive``), so the dimension leaves it out and no
-    trial re-measures guided under a second name.  A tuner explores the
-    discipline like any other knob, so skewed workloads discover guided
-    empirically instead of by rule-of-thumb.
-    """
-    from repro.patterns.tuning import (
-        SCHEDULE,
-        SCHEDULE_DOMAIN,
-        ChoiceParameter,
-    )
-
-    return ChoiceParameter(
-        name=SCHEDULE,
-        target=target,
-        default="dynamic",
-        choices=SCHEDULE_DOMAIN,
-    )
-
-
-def with_schedule_dimension(
-    space: "ParameterSpace", target: str = "loop"
-) -> "ParameterSpace":
-    """A copy of ``space`` widened by the ``Schedule`` dimension."""
-    return ParameterSpace(
-        parameters=list(space.parameters) + [schedule_dimension(target)]
-    )
-
-
-def data_plane_dimensions(target: str = "loop") -> list[TuningParameter]:
-    """The process backend's data-plane knob as a search dimension.
-
-    ``Transport@<target>`` picks how data crosses the process boundary
-    (``pickle`` vs zero-copy ``shm``) — the key
-    ``configured_parallel_for`` honours.  It degrades gracefully (a
-    recorded downgrade) so the tuner can explore it on any workload; it
-    only *wins* on flat numeric data, which is exactly what measuring
-    discovers.
-    """
-    from repro.patterns.tuning import (
-        TRANSPORT,
-        TRANSPORT_DOMAIN,
-        ChoiceParameter,
-    )
-
-    return [
-        ChoiceParameter(
-            name=TRANSPORT,
-            target=target,
-            default="pickle",
-            choices=TRANSPORT_DOMAIN,
-        ),
-    ]
-
-
-def with_data_plane_dimensions(
-    space: "ParameterSpace", target: str = "loop"
-) -> "ParameterSpace":
-    """A copy of ``space`` widened by the data-plane dimension."""
-    return ParameterSpace(
-        parameters=list(space.parameters) + data_plane_dimensions(target)
-    )
 
 
 @dataclass
@@ -218,8 +55,6 @@ class ParameterSpace:
         only the undiagnosed knobs.  Raises ``KeyError`` for an unknown
         key and ``ValueError`` for a value outside the domain.
         """
-        from repro.patterns.tuning import ChoiceParameter
-
         if key not in self.keys:
             raise KeyError(key)
         if value not in self.domain(key):

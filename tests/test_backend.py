@@ -16,7 +16,7 @@ import warnings
 
 import pytest
 
-from repro.patterns.tuning import BACKEND_DOMAIN, apply_config
+from repro.patterns.tuning import apply_config
 from repro.report import fault_report
 from repro.runtime import Item, MasterWorker, Pipeline
 from repro.runtime import backend as backend_mod
@@ -623,7 +623,49 @@ def _kill_worker_once(x, marker="", victim=7):
     return x * x
 
 
+def _kill_each_once(x, marker="", victims=()):
+    """:func:`_kill_worker_once` for every element of ``victims``, each
+    with a sentinel file of its own."""
+    if x in victims:
+        return _kill_worker_once(x, marker=f"{marker}-{x}", victim=x)
+    return x * x
+
+
+def _respawn_history(recovery):
+    """``(respawns, redispatches)`` of a run: each respawn's chunks and
+    trigger (a death or the final sweep), and each re-dispatched chunk
+    with its attempt number."""
+    respawns = sorted(
+        (e.chunks, "sweep" if e.detail.startswith("final sweep") else "death")
+        for e in recovery if e.kind == "respawn"
+    )
+    redispatches = sorted(
+        (e.chunks[0], int(e.detail.split("=")[1]))
+        for e in recovery if e.kind == "redispatch"
+    )
+    return respawns, redispatches
+
+
 class TestWorkerLoss:
+    def test_static_death_redispatches_unclaimed_stripe_chunk(
+        self, tmp_path
+    ):
+        # static stripes: member 0 owns chunks 0 and 2 from birth and
+        # dies in chunk 0, so chunk 2 is lost without ever being claimed;
+        # both go out again at attempt 2
+        body = functools.partial(
+            _kill_each_once, marker=str(tmp_path / "died"), victims=(0,)
+        )
+        recovery = []
+        out = parallel_for(
+            range(4), body, workers=2, chunk_size=1, schedule="static",
+            backend="process", restarts=1, recovery=recovery,
+        )
+        assert out == [x * x for x in range(4)]
+        assert _respawn_history(recovery) == (
+            [((0, 2), "death")], [(0, 2), (2, 2)]
+        )
+
     @pytest.mark.parametrize("schedule", ["static", "dynamic"])
     def test_no_budget_raises_worker_lost(self, tmp_path, schedule):
         # pre-recovery contract, pinned: restarts=0 keeps the historical
@@ -672,6 +714,28 @@ class TestWorkerLoss:
         assert "worker_lost" in kinds
         assert "respawn" in kinds
         assert "redispatch" in kinds
+
+
+class TestFinalSweep:
+    def test_sweep_dispatches_chunks_no_member_claimed(self, tmp_path):
+        # both members die in their first chunk (0 and 1), and each
+        # replacement runs only the chunk it was given: nobody is left
+        # to claim chunks 2 and 3, so the final sweep hands them to a
+        # third worker at attempt 1, after the dead members' chunks went
+        # out again at attempt 2
+        body = functools.partial(
+            _kill_each_once, marker=str(tmp_path / "died"), victims=(0, 1)
+        )
+        recovery = []
+        out = parallel_for(
+            range(4), body, workers=2, chunk_size=1, schedule="dynamic",
+            backend="process", restarts=3, recovery=recovery,
+        )
+        assert out == [x * x for x in range(4)]
+        assert _respawn_history(recovery) == (
+            [((0,), "death"), ((1,), "death"), ((2, 3), "sweep")],
+            [(0, 2), (1, 2), (2, 1), (3, 1)],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1058,7 +1122,7 @@ class TestGeneratedCodeRoundTrip:
         _, location, params = read_tuning_file(path)[0]
         by_key = {p.key: p for p in params}
         assert by_key["Backend@loop"].value == "thread"
-        assert tuple(by_key["Backend@loop"].domain()) == BACKEND_DOMAIN
+        assert tuple(by_key["Backend@loop"].domain()) == BACKENDS
 
         # re-tune without recompilation: flip the backend, validated
         apply_config(params, {"Backend@loop": "process"})

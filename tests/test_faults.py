@@ -24,6 +24,7 @@ from repro.runtime import (
     parallel_for,
     parallel_reduce,
 )
+from repro.runtime import faults
 from repro.runtime.backend import _run_map_chunk
 from repro.runtime.faults import Outcome
 from repro.runtime.metrics import MetricsRegistry
@@ -189,18 +190,33 @@ CHUNK_POLICIES = {
 }
 
 
-def chunk_body(kind, slow, token):
+class PolicyClock:
+    """A stand-in for the policy's ``time`` module that only a body
+    advances, so an item timeout fires on the slow element alone and
+    never on a host stall."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+def chunk_body(kind, clock, token):
     """A fresh body: ``ok``, or failing at ``CHOSEN`` ``once`` or
     ``always``, or raising ``CancelledError`` there, or firing ``token``
-    there and returning.  With ``slow``, element ``SLOW``'s first
-    attempt overruns the item timeout."""
+    there and returning.  With a ``clock``, element ``SLOW``'s first
+    attempt takes 0.1 s on it, overrunning the item timeout."""
     seen = set()
 
     def body(x):
         first = x not in seen
         seen.add(x)
-        if slow and x == SLOW and first:
-            time.sleep(0.1)
+        if clock is not None and x == SLOW and first:
+            clock.sleep(0.1)
         if x == CHOSEN:
             if kind == "cancel":
                 raise CancelledError(f"cancelled at {x}")
@@ -283,16 +299,20 @@ class TestChunkLoopMatchesExecute:
     )
     @pytest.mark.parametrize("policy", list(CHUNK_POLICIES))
     def test_kernel_matches_per_element_execute(
-        self, policy, body, traced, metered
+        self, policy, body, traced, metered, monkeypatch
     ):
         policy = CHUNK_POLICIES[policy]
         slow = policy is not None and policy.item_timeout is not None
         vals = list(range(40))
+        clock = None
+        if slow:
+            clock = PolicyClock()
+            monkeypatch.setattr(faults, "time", clock)
 
         def kernel(trace, metrics):
             token = CancellationToken()
             values, records, counters, failed, aborted = _run_map_chunk(
-                0, (CHUNK_LO, CHUNK_HI), chunk_body(body, slow, token), vals,
+                0, (CHUNK_LO, CHUNK_HI), chunk_body(body, clock, token), vals,
                 policy, lambda: False, trace=trace, stage=STAGE,
                 metrics=metrics, cancel=token,
             )
@@ -302,7 +322,7 @@ class TestChunkLoopMatchesExecute:
         def reference(trace, metrics):
             token = CancellationToken()
             return per_element_chunk(
-                policy, chunk_body(body, slow, token), vals, CHUNK_LO,
+                policy, chunk_body(body, clock, token), vals, CHUNK_LO,
                 CHUNK_HI, trace, metrics, token,
             )
 
@@ -310,6 +330,12 @@ class TestChunkLoopMatchesExecute:
         assert got == observed(reference, traced, metered)
         if body not in ("ok", "token") and "raised" not in got:
             assert [r[0] for r in got["records"]] in ([], [CHOSEN])
+        if slow and "raised" not in got:
+            # the slow element's first attempt overran the deadline and
+            # was retried, besides any retry of the chosen element
+            assert got["counters"]["retried"] == 1 + (body != "ok")
+            if traced:
+                assert ("timeout", SLOW) in {s[:2] for s in got["spans"]}
 
 
 # ---------------------------------------------------------------------------
@@ -1018,19 +1044,24 @@ class TestFaultTuningRoundTrip:
         assert fn(*args, __chaos__=inj) == video_expected(stream, video_env)
         assert inj.stats()["calls"] > 0
 
-    def test_space_gains_fault_dimensions(self):
-        from repro.tuning.space import ParameterSpace, with_fault_dimensions
+    def test_pipeline_match_gains_fault_dimensions(self):
+        from repro.tuning.space import ParameterSpace
 
-        space = with_fault_dimensions(ParameterSpace([]), ["A", "B"])
-        keys = set(space.keys)
-        assert keys == {
-            "Retries@A", "ItemTimeout@A", "OnError@A",
-            "Retries@B", "ItemTimeout@B", "OnError@B",
-            "StallTimeout@pipeline",
+        _, match = self._video_match()
+        stages = match.extras["partition"].names
+        assert len(stages) >= 2
+        cfg = ParameterSpace(match.tuning).default_config()
+        fault = {
+            key: value for key, value in cfg.items()
+            if key.split("@")[0]
+            in ("Retries", "ItemTimeout", "OnError", "StallTimeout")
         }
-        cfg = space.default_config()
-        assert cfg["OnError@A"] == "fail_fast"
-        assert cfg["Retries@B"] == 0
+        assert fault == {
+            **{f"Retries@{s}": 0 for s in stages},
+            **{f"ItemTimeout@{s}": 0.0 for s in stages},
+            **{f"OnError@{s}": "fail_fast" for s in stages},
+            "StallTimeout@pipeline": 30.0,
+        }
 
 
 # ---------------------------------------------------------------------------

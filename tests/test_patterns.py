@@ -16,6 +16,7 @@ from repro.patterns import (
     partition_stages,
 )
 from repro.patterns.pipeline import build_stage_dag, build_tadl
+from repro.patterns.tuning import KNOBS
 from repro.tadl import format_tadl
 
 
@@ -386,6 +387,16 @@ class TestMasterWorker:
         match = MasterWorkerPattern().match(m, first_loop(m))
         assert match is not None
         assert match.extras["group"] == ["s1.b0", "s1.b1"]
+        # only the knobs the generated code reads (transform/codegen.py)
+        assert [
+            (p.key, type(p).__name__, p.default, p.domain())
+            for p in match.tuning
+        ] == [
+            ("SequentialExecution@workers", "BoolParameter", False,
+             [False, True]),
+            ("Backend@workers", "ChoiceParameter", "thread",
+             ["serial", "thread", "process"]),
+        ]
 
     def test_min_share_guard(self):
         src = (
@@ -451,3 +462,35 @@ class TestCatalog:
 
     def test_names(self):
         assert default_catalog().names() == ["doall", "pipeline", "masterworker"]
+
+
+class TestKnobCatalog:
+    def test_domains_are_what_the_runtime_accepts(self):
+        from repro.runtime import BACKENDS, SCHEDULES, TRANSPORTS
+        from repro.runtime.faults import ON_ERROR_MODES
+
+        assert KNOBS["Backend"][2] == BACKENDS
+        # adaptive is an alias of guided: no trial re-measures it
+        assert KNOBS["Schedule"][2] == tuple(
+            s for s in SCHEDULES if s != "adaptive"
+        )
+        assert KNOBS["Transport"][2] == TRANSPORTS
+        assert KNOBS["OnError"][2] == ON_ERROR_MODES
+
+    def test_every_emitted_knob_is_the_catalogs(self):
+        from repro.benchsuite import all_programs
+
+        seen = set()
+        for bp in all_programs():
+            for match in default_catalog().detect_in_program(bp.parse()):
+                for p in match.tuning:
+                    kind, default, domain = KNOBS[p.name]
+                    assert type(p) is kind, p.key
+                    assert p.default == default, p.key
+                    if domain is None:
+                        assert p.lo == 1, p.key
+                    else:
+                        assert tuple(p.domain()) == domain, p.key
+                    seen.add(p.name)
+        # and no catalog entry is dead: the suite emits every knob
+        assert seen == set(KNOBS)

@@ -438,15 +438,12 @@ class TestHints:
         assert {h.key: h.value for h in d.hints}["Transport@loop"] == "shm"
 
     def test_seed_config_applies_only_applicable_hints(self):
-        from repro.patterns.tuning import (
-            TRANSPORT, TRANSPORT_DOMAIN, ChoiceParameter, IntParameter,
-        )
+        from repro.patterns.tuning import IntParameter, knob
         from repro.tuning import ParameterSpace
         from repro.tuning.hints import Hint, seed_config
 
         space = ParameterSpace([
-            ChoiceParameter(name=TRANSPORT, target="loop",
-                            default="pickle", choices=TRANSPORT_DOMAIN),
+            knob("Transport", "loop", ""),
             IntParameter(name="ChunkSize", target="loop",
                          default=1, lo=1, hi=8),
         ])
@@ -459,15 +456,12 @@ class TestHints:
         assert cfg["ChunkSize@loop"] == 8
 
     def test_prune_space_pins_hinted_dimensions(self):
-        from repro.patterns.tuning import (
-            TRANSPORT, TRANSPORT_DOMAIN, ChoiceParameter, IntParameter,
-        )
+        from repro.patterns.tuning import IntParameter, knob
         from repro.tuning import ParameterSpace
         from repro.tuning.hints import Hint, prune_space
 
         space = ParameterSpace([
-            ChoiceParameter(name=TRANSPORT, target="loop",
-                            default="pickle", choices=TRANSPORT_DOMAIN),
+            knob("Transport", "loop", ""),
             IntParameter(name="ChunkSize", target="loop",
                          default=1, lo=1, hi=8),
         ])
@@ -476,4 +470,6 @@ class TestHints:
         assert pruned.domain("ChunkSize@loop") == space.domain(
             "ChunkSize@loop"
         )
-        assert pruned.size() == space.size() // len(TRANSPORT_DOMAIN)
+        assert pruned.size() == space.size() // len(
+            space.domain("Transport@loop")
+        )

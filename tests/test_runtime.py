@@ -746,27 +746,50 @@ class TestPipelineStreaming:
 
 
 class TestTuningConfig:
+    @staticmethod
+    def _matches():
+        """A benchsuite program's matches: pipelines and a DOALL loop."""
+        from repro.benchsuite import get_program
+        from repro.patterns import default_catalog
+
+        return default_catalog(prefer="pipeline").detect_in_program(
+            get_program("matrixops").parse()
+        )
+
     def test_load_and_query(self, tmp_path):
-        import json
-
         from repro.runtime import TuningConfig
+        from repro.transform import write_tuning_file
 
-        data = {
-            "parameters": [
-                {"name": "StageReplication", "target": "B", "value": 3,
-                 "location": "f:s1"},
-                {"name": "NumWorkers", "target": "loop", "value": 4,
-                 "location": "g:s0"},
-            ]
-        }
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps(data))
+        matches = self._matches()
+        pipe = next(m for m in matches if m.pattern == "pipeline")
+        loop = next(m for m in matches if m.pattern == "doall")
+        # an engineer retunes two values before the run
+        pipe.parameter("BufferCapacity@pipeline").value = 2
+        loop.parameter("NumWorkers@loop").value = 3
+        path = write_tuning_file(matches, tmp_path / "tuning.json")
         cfg = TuningConfig.load(path)
-        assert cfg.for_location("f:s1") == {"StageReplication@B": 3}
-        assert cfg.for_location("g:s0") == {"NumWorkers@loop": 4}
+        at_pipe, at_loop = pipe.tuning[0].location, loop.tuning[0].location
+        assert cfg.for_location(at_pipe)["BufferCapacity@pipeline"] == 2
+        assert cfg.for_location(at_loop)["NumWorkers@loop"] == 3
         assert cfg.for_location("missing") == {}
-        assert set(cfg.locations()) == {"f:s1", "g:s0"}
-        assert cfg.flat() == {
-            "f:s1::StageReplication@B": 3,
-            "g:s0::NumWorkers@loop": 4,
-        }
+        assert set(cfg.locations()) == {m.tuning[0].location for m in matches}
+        assert cfg.flat()[f"{at_loop}::NumWorkers@loop"] == 3
+        assert len(cfg.flat()) == sum(len(m.tuning) for m in matches)
+
+    def test_loads_every_value_the_tool_writes(self, tmp_path):
+        from repro.runtime import TuningConfig
+        from repro.transform import read_tuning_file, write_tuning_file
+        from repro.transform.tuningfile import config_for_location
+
+        matches = self._matches()
+        path = write_tuning_file(matches, tmp_path / "tuning.json")
+        cfg = TuningConfig.load(path)
+        entries = read_tuning_file(path)
+        assert len(entries) == len(matches) >= 2
+        for _pattern, location, params in entries:
+            assert params
+            for p in params:
+                assert cfg.for_location(p.location)[p.key] == p.value
+                assert cfg.for_location(p.location) == config_for_location(
+                    path, location
+                )
