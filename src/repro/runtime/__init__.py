@@ -50,7 +50,6 @@ from repro.runtime.parallel_for import (
     parallel_reduce,
     configured_parallel_for,
 )
-from repro.runtime.futures import AutoFuture, spawn, join_all
 from repro.runtime.dashboard import LiveDashboard, render_line
 from repro.runtime.flight import FlightRecorder, flight_path
 from repro.runtime.metrics import (
@@ -126,9 +125,6 @@ __all__ = [
     "parallel_for",
     "parallel_reduce",
     "configured_parallel_for",
-    "AutoFuture",
-    "spawn",
-    "join_all",
     "Counter",
     "Gauge",
     "Histogram",

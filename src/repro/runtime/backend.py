@@ -533,6 +533,8 @@ class ProcessRun:
     #: chunk index -> claim-to-delivery seconds from the ownership
     #: ledger (first result only; dedup losers are not timed)
     latencies: dict[int, float] = field(default_factory=dict)
+    #: the first exception a pool worker's chunk kernel let escape
+    raised: BaseException | None = None
 
     def missing(
         self, n_chunks: int, completed: frozenset[int] = frozenset()
@@ -1015,9 +1017,17 @@ def _serve_call(
             result_q.close()
             result_q.join_thread()
             os.kill(os.getpid(), signal.SIGKILL)
-        chunk = run_chunk(
-            kernel, k, chunks[k], vals, should_stop, observers=observers,
-        )
+        try:
+            chunk = run_chunk(
+                kernel, k, chunks[k], vals, should_stop, observers=observers,
+            )
+        except Exception as exc:
+            # what the kernel lets escape (a body's CancelledError under a
+            # policy) ends the call, as in-process; the member stays
+            result_q.put(pickle.dumps(
+                ("raised", uid, k, _shippable_error(exc), gen)
+            ))
+            break
         if chunk is None:
             break
         chunk.records = [
@@ -1576,6 +1586,7 @@ def run_process_chunks(
     series = StageSeries(metrics, label) if metrics is not None else None
     delivered: dict[int, ChunkResult] = {}
     fatal: list[str] = []
+    raised: list[BaseException] = []
     recovery: list[RecoveryEvent] = []
     procs: dict[int, Any] = {}
     done_uids: set[int] = set()
@@ -1695,6 +1706,11 @@ def run_process_chunks(
                 series.inc("chaos_kills")
         elif tag == "done":
             done_uids.add(message[1])
+        elif tag == "raised":
+            # the call comes down as after a failed chunk; the error
+            # outranks every chunk's records
+            raised.append(message[3])
+            stop_flag.set()
         else:
             fatal.append(message[2])
 
@@ -1958,7 +1974,7 @@ def run_process_chunks(
             _release_session(session)
     return ProcessRun(
         chunks=delivered, fatal=fatal, recovery=recovery,
-        latencies=chunk_latency,
+        latencies=chunk_latency, raised=raised[0] if raised else None,
     )
 
 

@@ -3,7 +3,12 @@
 Two usages, matching the paper:
 
 * standalone — a master distributes independent tasks to a worker pool and
-  joins the results (:meth:`MasterWorker.run`, :meth:`map`);
+  joins the results (:meth:`MasterWorker.run`, :meth:`map`).  Generated
+  master/worker regions run this way: one group per call of the
+  generated function, named after its region, and one ``run`` per
+  iteration over its independent statements — on threads under both
+  ``Backend@workers=thread`` and ``process``, since the statements close
+  over loop-local state;
 * as a pipeline element (Fig. 3d: ``Pipeline(mw, p4, p5)``) — for each
   stream element every member item is applied and the results merged.
 

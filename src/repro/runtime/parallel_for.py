@@ -187,8 +187,12 @@ def _assemble_process_run(
     element's slot on and its records extend the ledger (its sidecars
     were absorbed when it was delivered).  Then the call raises, in
     priority order: the first failed chunk's error, cancellation, then
-    pool-infrastructure failure.
+    pool-infrastructure failure.  An error a pool worker's kernel let
+    escape is raised first, before any assembly, as the in-process
+    executor raises it.
     """
+    if run.raised is not None:
+        raise run.raised
     first_error: BaseException | None = None
     for k in sorted(run.chunks):
         chunk = run.chunks[k]
@@ -364,8 +368,6 @@ def _engine(
                 cancel.raise_if_cancelled()
             try:
                 out.append(body(v))
-            except CancelledError:
-                raise
             except BaseException as exc:
                 if ledger is not None:
                     ledger.append(ErrorRecord(label, i, exc, 1))
@@ -489,7 +491,6 @@ def parallel_for(
     chunk_size: int = 1,
     schedule: str = "dynamic",
     sequential: bool = False,
-    sequential_threshold: int = 0,
     cancel: CancellationToken | None = None,
     policy: FaultPolicy | None = None,
     backend: str = "thread",
@@ -517,10 +518,9 @@ def parallel_for(
     wave controller shed warm workers it then respawned every call, and
     the guided plan beat it about 2.2× on a skewed loop (see
     :mod:`repro.runtime.adaptive`).  ``sequential=True`` (the
-    SequentialExecution parameter), a ``backend="serial"``, or a stream
-    shorter than ``sequential_threshold`` runs the chunks in the calling
-    thread — with every feature off, as a plain loop, so the transformed
-    program is never slower than the original.
+    SequentialExecution parameter) or a ``backend="serial"`` runs the
+    chunks in the calling thread — with every feature off, as a plain
+    loop, so the transformed program is never slower than the original.
 
     ``chaos`` injects seeded faults, one stream per chunk on every
     backend; ``ledger`` collects every element-level
@@ -585,7 +585,7 @@ def parallel_for(
             events,
             trace=trace,
         )
-    if sequential or len(vals) <= sequential_threshold or workers <= 1:
+    if sequential or workers <= 1:
         effective = "serial"
     return _engine(
         vals, body, label="loop", backend=effective, workers=workers,

@@ -48,6 +48,7 @@ from repro.runtime.faults import (
     CancelledError,
     ErrorRecord,
     FaultPolicy,
+    Outcome,
     StageCounters,
 )
 from repro.runtime.item import Item
@@ -206,7 +207,6 @@ class Pipeline:
         *elements: Element,
         buffer_capacity: int = 8,
         sequential: bool = False,
-        sequential_threshold: int = 0,
         stall_timeout: float | None = 30.0,
         name: str = "pipeline",
         backend: str = "thread",
@@ -219,7 +219,6 @@ class Pipeline:
         self.elements: list[Element] = list(elements)
         self.buffer_capacity = buffer_capacity
         self.sequential = sequential
-        self.sequential_threshold = sequential_threshold
         self.stall_timeout = stall_timeout
         self.name = name
         self.backend = normalize_backend(backend)
@@ -408,11 +407,7 @@ class Pipeline:
         values = list(self.input)
 
         elements = self._effective_elements()
-        if (
-            self.backend == "serial"
-            or self.sequential
-            or len(values) <= self.sequential_threshold
-        ):
+        if self.backend == "serial" or self.sequential:
             self.output = list(self._run_sequential(iter(values), elements))
             return self.output
         self.output = list(self._stream_threaded(iter(values), elements))
@@ -451,17 +446,21 @@ class Pipeline:
             dropped = False
             for el in elements:
                 policy = el.fault_policy or _DEFAULT_POLICY
-                if profiler is not None:
-                    with profiler.work(el.name, seq):
+                try:
+                    if profiler is not None:
+                        with profiler.work(el.name, seq):
+                            outcome = policy.execute(
+                                el.apply, v, trace=trace, stage=el.name,
+                                seq=seq, metrics=metrics,
+                            )
+                    else:
                         outcome = policy.execute(
-                            el.apply, v, trace=trace, stage=el.name,
-                            seq=seq, metrics=metrics,
+                            el.apply, v, trace=trace, stage=el.name, seq=seq,
+                            metrics=metrics,
                         )
-                else:
-                    outcome = policy.execute(
-                        el.apply, v, trace=trace, stage=el.name, seq=seq,
-                        metrics=metrics,
-                    )
+                except CancelledError as exc:
+                    # no token runs this road: the body's own
+                    outcome = Outcome("failed", None, 1, exc)
                 counters[el.name].account(outcome)
                 if metrics is not None:
                     count_outcome(
@@ -601,14 +600,16 @@ class Pipeline:
                 for seq, v in enumerate(values):
                     buffers[0].put((seq, v), cancel=token)
                     generated[0] += 1
-            except CancelledError:
-                if trace is not None:
-                    trace.instant(
-                        "cancel", STREAM_GENERATOR, -1,
-                        reason=token.reason or "cancelled",
-                    )
-                return
             except BaseException as exc:
+                if token.cancelled and isinstance(exc, CancelledError):
+                    # the run's token fired; the input's own
+                    # CancelledError is a failure like any other
+                    if trace is not None:
+                        trace.instant(
+                            "cancel", STREAM_GENERATOR, -1,
+                            reason=token.reason or "cancelled",
+                        )
+                    return
                 record(STREAM_GENERATOR, generated[0], exc)
                 failed[0] = True
                 token.cancel(f"stage {STREAM_GENERATOR} failed: {exc!r}")
@@ -723,6 +724,12 @@ class Pipeline:
                                         trace=trace, stage=el.name, seq=seq,
                                         metrics=metrics,
                                     )
+                            except CancelledError as exc:
+                                if token.cancelled:
+                                    raise
+                                # the body's own, not the run's: this
+                                # element failed
+                                outcome = Outcome("failed", None, 1, exc)
                             finally:
                                 with fl_lock:
                                     flights.discard(seq)

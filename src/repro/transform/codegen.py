@@ -26,7 +26,10 @@ recognized collector/reduction statements are replaced by positional
 temporaries and replayed sequentially over the ordered results, which
 preserves semantics for any associative reduction.
 
-Master/worker regions: independent assignments become AutoFutures.
+Master/worker regions: each iteration runs its independent statement
+group as one :meth:`~repro.runtime.masterworker.MasterWorker.run` on a
+group built once per call and named after the region, so generated tasks
+get the chunk engine's supervision and every observer session.
 """
 
 from __future__ import annotations
@@ -484,14 +487,14 @@ def generate_masterworker_source(func: IRFunction, match: PatternMatch) -> str:
 
     ind = "    "
     lines: list[str] = [f"def {parallel_name(func)}({_signature(func)}):"]
-    lines.append(f"{ind}from repro.runtime import spawn")
+    lines.append(f"{ind}from repro.runtime import MasterWorker")
     lines.append(
         f"{ind}__seq = bool((__tuning__ or {{}}).get("
         f"'SequentialExecution@workers', False))"
     )
     # Backend@workers='serial' means run in the master thread; thread and
-    # process both use the futures pool here (the statement group closes
-    # over loop-local state, which cannot cross a process boundary)
+    # process both run the group on threads (it closes over loop-local
+    # state, and a bare call's side effect would be lost on a process copy)
     lines.append(
         f"{ind}__seq = __seq or (__tuning__ or {{}}).get("
         f"'Backend@workers', 'thread') == 'serial'"
@@ -500,41 +503,35 @@ def generate_masterworker_source(func: IRFunction, match: PatternMatch) -> str:
         f"{ind}__wrap = __chaos__.wrap if __chaos__ else "
         f"(lambda __f, name=None: __f)"
     )
+    region = f"{func.name}:{match.loop_sid}"
+    lines.append(
+        f"{ind}__mw = MasterWorker(workers={len(group)}, name={region!r})"
+    )
     for st in before:
         lines.extend(_unparse(st, ind))
     lines.append(f"{ind}for {target_text} in {iter_text}:")
     inner = ind + "    "
-    in_group = False
-    spawned: list[tuple[str, str | None]] = []
     for st in loop_stmt.body:
-        if st.sid in group:
-            if not in_group:
-                in_group = True
-                lines.append(f"{inner}if __seq:")
-                for g in group:
-                    lines.extend(_unparse(by_sid[g], inner + "    "))
-                lines.append(f"{inner}else:")
-            node = st.node
-            fid = f"__f_{st.sid.replace('.', '_')}"
-            if isinstance(node, ast.Assign):
-                expr = ast.unparse(node.value)
-                var = node.targets[0].id  # type: ignore[attr-defined]
-            else:
-                expr = ast.unparse(node.value)  # bare call
-                var = None
-            lines.append(
-                f"{inner}    {fid} = spawn(__wrap(lambda: {expr}, {fid!r}))"
-            )
-            spawned.append((fid, var))
-            # joins happen after the last group member
-            if st.sid == group[-1]:
-                for fid2, var2 in spawned:
-                    if var2 is not None:
-                        lines.append(f"{inner}    {var2} = {fid2}.result()")
-                    else:
-                        lines.append(f"{inner}    {fid2}.result()")
-        else:
+        if st.sid not in group:
             lines.extend(_unparse(st, inner))
+        elif st.sid == group[0]:
+            # the group is contiguous: emit it whole, at its first member
+            branch = inner + "    "
+            lines.append(f"{inner}if __seq:")
+            for g in group:
+                lines.extend(_unparse(by_sid[g], branch))
+            lines.append(f"{inner}else:")
+            lines.append(f"{branch}__r = __mw.run([")
+            for g in group:
+                fid = f"__f_{g.replace('.', '_')}"  # the task's chaos name
+                expr = ast.unparse(by_sid[g].node.value)
+                lines.append(f"{branch}    __wrap(lambda: {expr}, {fid!r}),")
+            lines.append(f"{branch}])")
+            for slot, g in enumerate(group):
+                node = by_sid[g].node
+                if isinstance(node, ast.Assign):  # a bare call keeps no slot
+                    var = node.targets[0].id  # type: ignore[attr-defined]
+                    lines.append(f"{branch}{var} = __r[{slot}]")
     for st in after:
         lines.extend(_unparse(st, ind))
     return "\n".join(lines) + "\n"

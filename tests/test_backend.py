@@ -2,6 +2,7 @@
 fallback, shipping, cancellation, chaos conservation, and the tuning-file
 round trip onto real processes."""
 
+import contextlib
 import functools
 import multiprocessing
 import multiprocessing.connection
@@ -46,6 +47,7 @@ from repro.runtime.parallel_for import (
     parallel_for,
     parallel_reduce,
 )
+from repro.runtime.trace import trace_session
 
 backends = pytest.mark.parametrize("backend", BACKENDS)
 
@@ -63,6 +65,12 @@ def poison_five(x):
 def boom_two(x):
     if x == 2:
         raise RuntimeError("boom")
+    return x
+
+
+def cancelled_at_three(x):
+    if x == 3:
+        raise CancelledError("body cancelled")
     return x
 
 
@@ -202,6 +210,33 @@ class TestBackendParity:
             == ledgers["process"]
             == [("loop", 5, "ValueError", 1)]
         )
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize(
+        "policy", [None, FaultPolicy()], ids=["no-policy", "policy"]
+    )
+    def test_body_cancelled_error_matches_the_thread_backend(
+        self, policy, traced
+    ):
+        # a body's own CancelledError is not the call's cancellation: the
+        # raised error and the ledger it leaves agree on every backend
+        def outcome(backend):
+            ledger = []
+            with trace_session() if traced else contextlib.nullcontext():
+                with pytest.raises(BaseException) as info:
+                    parallel_for(
+                        range(8), cancelled_at_three, workers=2,
+                        chunk_size=2, backend=backend, ledger=ledger,
+                        policy=policy,
+                    )
+            return (
+                type(info.value), str(info.value), [r.seq for r in ledger]
+            )
+
+        expect = outcome("thread")
+        assert expect[:2] == (CancelledError, "body cancelled")
+        assert outcome("serial") == expect
+        assert outcome("process") == expect
 
     @backends
     def test_retries_accounted_in_ledger(self, backend):
@@ -979,6 +1014,28 @@ class TestPoolLifetime:
         while backend_mod._SESSIONS and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not backend_mod._SESSIONS
+
+    def test_member_survives_a_kernel_that_raises(self):
+        # a body's CancelledError escapes a policy's chunk loop; the
+        # worker reports it, and the call raises it, as in-process
+        values = list(range(8))
+        assert parallel_for(
+            values, square, workers=2, chunk_size=2, backend="process",
+        ) == [v * v for v in values]
+        session = get_session(2)
+        pids = sorted(session.pids)
+        with pytest.raises(CancelledError, match="body cancelled"):
+            parallel_for(
+                values, cancelled_at_three, workers=2, chunk_size=2,
+                backend="process", policy=FaultPolicy(),
+            )
+        assert len(session._members) == 2
+        assert all(p.is_alive() for p, _q in session._members.values())
+        out = parallel_for(
+            values, _nap_pid, workers=2, chunk_size=1, backend="process",
+        )
+        assert set(out) <= set(pids)
+        assert get_session(2) is session and sorted(session.pids) == pids
 
     def test_masterworker_runs_share_their_pids(self):
         mw = MasterWorker(workers=2, backend="process")

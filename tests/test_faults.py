@@ -581,6 +581,91 @@ class TestStallWatchdog:
 # error aggregation
 # ---------------------------------------------------------------------------
 
+def _cancelled_at_three(x):
+    if x == 3:
+        raise CancelledError("body cancelled")
+    return x
+
+
+def _input_cancelled_at_three():
+    for i in range(8):
+        if i == 3:
+            raise CancelledError("input cancelled")
+        yield i
+
+
+class TestPipelineBodyCancelledError:
+    """A stage body's or an input's own ``CancelledError`` is that
+    element's failure, as a ``ValueError`` is: the run fails at once with
+    its record instead of waiting for the stall watchdog."""
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_stage_body_fails_at_once_with_the_record(self, sequential):
+        pipe = Pipeline(
+            Item(lambda x: x, name="parse"),
+            Item(_cancelled_at_three, name="bad"),
+            Item(lambda x: x, name="emit"),
+            stall_timeout=5.0,
+            sequential=sequential,
+        )
+        started = time.monotonic()
+        with pytest.raises(PipelineError) as ei:
+            pipe.run(range(8))
+        assert time.monotonic() - started < 1.0
+        assert not isinstance(ei.value, PipelineStallError)
+        assert [
+            (r.stage, r.seq, type(r.error)) for r in ei.value.records
+        ] == [("bad", 3, CancelledError)]
+
+    def test_input_fails_at_once_with_the_record(self):
+        # the threaded road's stream generator; the sequential road lets
+        # an input's error escape bare, a ValueError's as well
+        pipe = Pipeline(
+            Item(lambda x: x, name="parse"), Item(lambda x: x, name="emit"),
+            stall_timeout=5.0,
+        )
+        started = time.monotonic()
+        with pytest.raises(PipelineError) as ei:
+            list(pipe.stream(_input_cancelled_at_three()))
+        assert time.monotonic() - started < 1.0
+        assert not isinstance(ei.value, PipelineStallError)
+        assert [
+            (r.stage, r.seq, type(r.error)) for r in ei.value.records
+        ] == [("<stream-generator>", 3, CancelledError)]
+
+    def test_group_cancelled_by_the_run_leaves_no_record(self):
+        # the input's failure fires the run's token while a master/worker
+        # group is mid-element: the group unwinds without a record
+        started = threading.Event()
+        saw_cancel = []
+
+        def slow(x):
+            started.set()
+            deadline = time.monotonic() + 5.0
+            while not group.cancel.cancelled and time.monotonic() < deadline:
+                time.sleep(0.005)
+            saw_cancel.append(group.cancel.cancelled)
+            return x
+
+        def source():
+            yield 0
+            started.wait(5.0)
+            raise ValueError("input died")
+
+        group = MasterWorker(
+            Item(slow, name="slow"), Item(lambda x: x, name="fast"),
+            workers=2, name="group",
+        )
+        pipe = Pipeline(group, Item(lambda x: x, name="emit"),
+                        stall_timeout=5.0)
+        with pytest.raises(PipelineError) as ei:
+            list(pipe.stream(source()))
+        assert [
+            (r.stage, r.seq, type(r.error)) for r in ei.value.records
+        ] == [("<stream-generator>", 1, ValueError)]
+        assert saw_cancel == [True]
+
+
 class TestErrorAggregation:
     def test_skip_records_every_poison_element(self):
         def fussy(x):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.runtime import (
-    AutoFuture,
     BoundedBuffer,
     EndOfStream,
     Item,
@@ -16,11 +15,9 @@ from repro.runtime import (
     Pipeline,
     PipelineError,
     configured_parallel_for,
-    join_all,
     parallel_for,
     parallel_reduce,
     plan_guided,
-    spawn,
 )
 
 
@@ -265,10 +262,6 @@ class TestPipeline:
         pipe.configure({"SequentialExecution@pipeline": True})
         assert pipe.run(range(8)) == [(x + 1) * 2 for x in range(8)]
 
-    def test_sequential_threshold(self):
-        pipe = Pipeline(*self.stages(), sequential_threshold=10)
-        assert pipe.run(range(5)) == [(x + 1) * 2 for x in range(5)]
-
     def test_buffer_capacity_config(self):
         pipe = Pipeline(*self.stages())
         pipe.configure({"BufferCapacity@pipeline": 2})
@@ -444,10 +437,6 @@ class TestParallelFor:
         out = parallel_for([1, 2], lambda x: x, sequential=True)
         assert out == [1, 2]
 
-    def test_threshold_fallback(self):
-        out = parallel_for([1, 2], lambda x: x, sequential_threshold=5)
-        assert out == [1, 2]
-
     def test_empty(self):
         assert parallel_for([], lambda x: x) == []
 
@@ -537,86 +526,6 @@ class TestParallelReduce:
     def test_error_propagates(self):
         with pytest.raises(ZeroDivisionError):
             parallel_reduce([1, 0], lambda x: 1 // x, lambda a, b: a + b, 0)
-
-
-class TestAutoFutures:
-    def test_result(self):
-        assert spawn(lambda: 42).result() == 42
-
-    def test_error_reraised(self):
-        f = AutoFuture(lambda: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            f.result()
-
-    def test_join_all(self):
-        fs = [spawn(lambda i=i: i * 2) for i in range(5)]
-        assert join_all(*fs) == [0, 2, 4, 6, 8]
-
-    def test_done_flag(self):
-        f = spawn(lambda: 1)
-        f.result()
-        assert f.done
-
-    def test_timeout(self):
-        f = AutoFuture(time.sleep, 0.5)
-        with pytest.raises(TimeoutError):
-            f.result(timeout=0.01)
-        f.result()  # clean join
-
-    def test_join_all_joins_every_future_before_raising(self):
-        # an early failure must not strand later helper threads: the
-        # slow sibling's side effect has to be observed by the time
-        # join_all raises
-        finished = threading.Event()
-
-        def slow_ok():
-            time.sleep(0.05)
-            finished.set()
-            return "ok"
-
-        def fast_fail():
-            raise ValueError("first")
-
-        with pytest.raises(ValueError, match="first"):
-            join_all(spawn(fast_fail), spawn(slow_ok))
-        assert finished.is_set()
-
-    def test_join_all_attaches_sibling_failures(self):
-        def fail(msg):
-            raise RuntimeError(msg)
-
-        with pytest.raises(RuntimeError, match="one") as info:
-            join_all(
-                spawn(fail, "one"), spawn(lambda: 3), spawn(fail, "two")
-            )
-        suppressed = info.value.suppressed
-        assert len(suppressed) == 1
-        assert isinstance(suppressed[0], RuntimeError)
-        assert "two" in str(suppressed[0])
-        if hasattr(info.value, "__notes__"):
-            assert any("two" in n for n in info.value.__notes__)
-
-    def test_result_traceback_does_not_grow_across_calls(self):
-        def boom():
-            raise ValueError("boom")
-
-        f = spawn(boom)
-
-        def depth():
-            try:
-                f.result()
-            except ValueError as exc:
-                n, tb = 0, exc.__traceback__
-                while tb is not None:
-                    n, tb = n + 1, tb.tb_next
-                return n
-            raise AssertionError("did not raise")
-
-        first = depth()
-        # re-reading the result must re-raise from the same anchor, not
-        # accumulate one raise-site frame chain per caller
-        assert depth() == first
-        assert depth() == first
 
 
 class TestPipelineStreaming:

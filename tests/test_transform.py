@@ -267,6 +267,83 @@ class TestMasterWorkerCodegen:
         assert got == self._reference([1, 2], fa, fb, combine)
 
 
+class TestMasterWorkerRegionRuntime:
+    """Generated master/worker regions run on ``MasterWorker``: one
+    group per call, one ``run`` per iteration, named after the region."""
+
+    def _compiled(self):
+        from repro.patterns import MasterWorkerPattern
+
+        ir = parse_function(TestMasterWorkerCodegen.SRC)
+        model = build_semantic_model(ir)
+        match = MasterWorkerPattern().match(model, model.loop_models()[0])
+        return compile_parallel(ir, match), f"{ir.name}:{match.loop_sid}"
+
+    def test_one_group_per_call_and_one_run_per_iteration(self, monkeypatch):
+        import repro.runtime
+
+        made, runs = [], []
+
+        class Counted(repro.runtime.MasterWorker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self.name)
+
+            def run(self, tasks, *args, **kwargs):
+                runs.append(self.name)
+                return super().run(tasks, *args, **kwargs)
+
+        monkeypatch.setattr(repro.runtime, "MasterWorker", Counted)
+        fn, group = self._compiled()
+        add = lambda s, a, b: s + a + b
+        assert fn([1, 2, 3], abs, abs, add) == [2, 6, 12]
+        assert made == [group] and runs == [group] * 3
+
+    def test_member_failure_leaves_no_task_thread_running(self):
+        import threading
+        import time
+
+        started = []
+
+        def fa(x):
+            raise ValueError("fa")
+
+        def fb(x):
+            started.append(x)
+            time.sleep(0.3)
+            raise KeyError("fb")
+
+        fn, _group = self._compiled()
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="fa"):
+            fn([1], fa, fb, lambda s, a, b: s)
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+    def test_region_spans_under_its_group_name(self):
+        from repro.runtime import trace_session
+
+        fn, group = self._compiled()
+        with trace_session() as trace:
+            fn([1, 2, 3], abs, abs, lambda s, a, b: s + a + b)
+        spans = [s for s in trace.spans() if s.kind == "execute"]
+        assert len(spans) == 6
+        assert {s.stage for s in spans} == {group}
+
+    def test_region_chunk_counters_conserve_under_its_group_name(self):
+        from repro.runtime import metrics_session
+
+        fn, group = self._compiled()
+        with metrics_session() as reg:
+            fn([1, 2, 3], abs, abs, lambda s, a, b: s + a + b)
+        planned = reg.value("chunks_planned", stage=group)
+        assert planned == 6
+        assert (
+            reg.value("chunks_completed", stage=group)
+            - reg.value("chunks_deduped", stage=group)
+            == planned
+        )
+
+
 class TestAnnotatedSource:
     def test_annotation_inserted_at_loop(self, video_env):
         ir, _, match = detect_one(VIDEO_SRC, prefer="pipeline")
