@@ -68,7 +68,10 @@ class BoundedBuffer:
     ) -> None:
         """Wait on ``cond`` (lock held) until ``ready()``; honour deadline
         and cancellation.  The token's notify wakes registered waiters, so
-        no polling is needed."""
+        no polling is needed; a buffer that is already ready returns
+        before registering, as it would after the first check."""
+        if ready():
+            return
         deadline = None if timeout is None else time.monotonic() + timeout
         if cancel is not None:
             cancel.register(cond)

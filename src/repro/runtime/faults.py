@@ -135,11 +135,12 @@ class FaultPolicy:
     the historical behaviour), drop and count the poison element
     (``skip``), or substitute ``fallback``.
 
-    Two loops apply the policy with the same per-element semantics:
-    :meth:`execute` runs one element (a pipeline stage calls it per
-    element), :meth:`execute_chunk` a whole map chunk (the chunk kernel
-    calls it once per chunk, so an element that succeeds on its first
-    attempt costs no call and no :class:`Outcome`).
+    Every loop applies the policy with the same per-element semantics:
+    :meth:`execute` runs one element, :meth:`execute_chunk` a whole map
+    chunk (the chunk kernel calls it once per chunk), and a pipeline
+    stage runs each first attempt inline.  All three hand a failed first
+    attempt to :meth:`_recover`, so an element that succeeds on its
+    first attempt costs no call and no :class:`Outcome` in the last two.
     """
 
     retries: int = 0
@@ -438,7 +439,13 @@ class StageCounters:
         self.fallbacks = 0
         self.failed = 0
 
+    def add_delivered(self, n: int) -> None:
+        """Count ``n`` elements delivered at their first attempt at once."""
+        with self._lock:
+            self.delivered += n
+
     def account(self, outcome: Outcome) -> None:
+        """Count one element's outcome."""
         with self._lock:
             self.retried += outcome.retried
             if outcome.action == "delivered":

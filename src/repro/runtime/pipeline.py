@@ -26,10 +26,14 @@ recompilation exactly like the performance knobs:
   diagnosable exception, never a hang.
 
 Threads are bound to stages (the paper's design choice), elements flow
-through bounded buffers carrying ``(sequence, value)`` pairs.  Every
-stage failure is recorded as an :class:`~repro.runtime.faults.ErrorRecord`
-and aggregated into :class:`PipelineError` / ``Pipeline.stats`` — the
-first error no longer erases the rest.
+between them through bounded buffers carrying ``(sequence, value)``
+pairs.  :meth:`Pipeline.run` already holds its whole input and returns
+a list, so its first stage reads that list directly and its last
+appends to one; :meth:`Pipeline.stream` keeps a buffer at both ends.
+Every stage failure is recorded as an
+:class:`~repro.runtime.faults.ErrorRecord` and aggregated into
+:class:`PipelineError` / ``Pipeline.stats`` — the first error no longer
+erases the rest.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from repro.runtime.faults import (
     FaultPolicy,
     Outcome,
     StageCounters,
+    _missed,
 )
 from repro.runtime.item import Item
 from repro.runtime.masterworker import MasterWorker
@@ -159,7 +164,9 @@ class _Reorderer:
     SKIPPED = object()
 
     def __init__(
-        self, out: BoundedBuffer, cancel: CancellationToken | None = None
+        self,
+        out: BoundedBuffer | _ListSink,
+        cancel: CancellationToken | None = None,
     ) -> None:
         self.out = out
         self.cancel = cancel
@@ -189,6 +196,159 @@ class _Reorderer:
                 [(seq, v) for seq, v in rest if v is not self.SKIPPED],
                 cancel=self.cancel,
             )
+
+
+class _ListSource:
+    """Stage 0's input under :meth:`Pipeline.run`: ``(seq, value)``
+    batches taken straight from the run's input list.
+
+    A get hands out the batch a full buffer would give, a ``share`` of
+    ``min(left, capacity)``, and every replica that finds the list
+    exhausted gets the end marker.  It never waits.  ``transfers`` and
+    ``max_occupancy`` read as a :class:`BoundedBuffer`'s do: elements
+    handed out, and the most a full buffer would have held.
+    """
+
+    def __init__(
+        self, values: list[Any], capacity: int, eos: EndOfStream
+    ) -> None:
+        self._values = values
+        self._eos = eos
+        self._next = 0
+        self._lock = threading.Lock()
+        self.capacity = capacity
+        self.max_occupancy = 0
+        self.transfers = 0
+
+    def get_batch(
+        self, share: int = 1, cancel: CancellationToken | None = None
+    ) -> list[Any]:
+        with self._lock:
+            lo = self._next
+            ready = min(len(self._values) - lo, self.capacity)
+            if not ready:
+                return [self._eos]
+            hi = self._next = lo + -(-ready // share)
+            self.max_occupancy = max(self.max_occupancy, ready)
+            self.transfers += hi - lo
+        return list(zip(range(lo, hi), self._values[lo:hi]))
+
+    def __len__(self) -> int:
+        return len(self._values) - self._next
+
+
+class _ListSink:
+    """The last stage's output under :meth:`Pipeline.run`: a list that
+    the caller reads once, when the end marker arrives or the run's
+    token fires.  ``max_occupancy`` is the largest batch put at once."""
+
+    def __init__(self) -> None:
+        self.items: list[tuple[int, Any]] = []
+        self._cond = threading.Condition()
+        self._ended = False
+        self.max_occupancy = 0
+        self.transfers = 0
+
+    def put_batch(
+        self, items: list[Any], cancel: CancellationToken | None = None
+    ) -> None:
+        with self._cond:
+            self.items.extend(items)
+            self.transfers += len(items)
+            self.max_occupancy = max(self.max_occupancy, len(items))
+
+    def put(
+        self, eos: EndOfStream, cancel: CancellationToken | None = None
+    ) -> None:
+        """Take the end marker and wake the caller."""
+        with self._cond:
+            self._ended = True
+            self._cond.notify()
+
+    def wait(self, cancel: CancellationToken) -> None:
+        """Block until the end marker arrives or ``cancel`` fires."""
+        with self._cond:
+            if self._ended:
+                return
+            cancel.register(self._cond)
+            try:
+                while not self._ended and not cancel.cancelled:
+                    self._cond.wait()
+            finally:
+                cancel.unregister(self._cond)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
+def _deadline(el: Element) -> float | None:
+    """The stage's ``ItemTimeout``, which its first attempts read."""
+    return (el.fault_policy or _DEFAULT_POLICY).item_timeout
+
+
+class _Ledger:
+    """One run's per-stage counters and error records, shared by both
+    roads and every stage thread.
+
+    An element that succeeds at its first attempt is counted in bulk
+    (:meth:`delivered`); every other element goes through
+    :meth:`settle`, the one copy of the failure handling.
+    """
+
+    def __init__(
+        self, elements: list[Element], metrics: MetricsRegistry | None
+    ) -> None:
+        self.counters = {el.name: StageCounters() for el in elements}
+        self.records: list[ErrorRecord] = []
+        self.metrics = metrics
+        self._lock = threading.Lock()
+
+    def record(
+        self, stage: str, seq: int, exc: BaseException, attempts: int = 1
+    ) -> None:
+        with self._lock:
+            self.records.append(ErrorRecord(stage, seq, exc, attempts))
+
+    def delivered(self, stage: str, n: int) -> None:
+        """Count ``n`` elements the stage delivered at their first attempt."""
+        if n:
+            self.counters[stage].add_delivered(n)
+            if self.metrics is not None:
+                self.metrics.inc("elements_delivered", n, stage=stage)
+
+    def settle(
+        self,
+        el: Element,
+        value: Any,
+        exc: BaseException,
+        started: float,
+        seq: int,
+        trace: TraceCollector | None,
+        cancel: CancellationToken | None = None,
+    ) -> Outcome:
+        """What becomes of an element whose first attempt raised ``exc``:
+        the stage policy's retries and ``on_error`` disposition, counted
+        and recorded.  A body's own ``CancelledError`` fails the element;
+        one raised while the run's ``cancel`` has fired propagates."""
+        try:
+            if isinstance(exc, CancelledError):
+                raise exc  # never retried
+            outcome = (el.fault_policy or _DEFAULT_POLICY)._recover(
+                el.apply, value, exc, started, cancel, trace, el.name, seq,
+                self.metrics,
+            )
+        except CancelledError as own:
+            if cancel is not None and cancel.cancelled:
+                raise
+            outcome = Outcome("failed", None, 1, own)
+        self.counters[el.name].account(outcome)
+        if self.metrics is not None:
+            count_outcome(
+                self.metrics, el.name, outcome.action, outcome.retried
+            )
+        if outcome.error is not None:
+            self.record(el.name, seq, outcome.error, outcome.attempts)
+        return outcome
 
 
 class Pipeline:
@@ -399,7 +559,12 @@ class Pipeline:
     # execution
     # ------------------------------------------------------------------
     def run(self, input: Iterable[Any] | None = None) -> list[Any]:
-        """Execute the pipeline over ``input`` (or ``self.input``)."""
+        """Execute the pipeline over ``input`` (or ``self.input``).
+
+        The input is read into a list before any stage runs, so an input
+        that raises propagates as itself; :meth:`stream` records it as a
+        ``<stream-generator>`` failure instead.
+        """
         if input is not None:
             self.input = input
         if self.input is None:
@@ -410,7 +575,7 @@ class Pipeline:
         if self.backend == "serial" or self.sequential:
             self.output = list(self._run_sequential(iter(values), elements))
             return self.output
-        self.output = list(self._stream_threaded(iter(values), elements))
+        self.output = list(self._stream_threaded(values, elements))
         return self.output
 
     def stream(self, input: Iterable[Any] | None = None):
@@ -420,7 +585,8 @@ class Pipeline:
         the bounded buffers) and results are yielded as the final stage
         delivers them — the truly continuous data flow of the paper's
         pipeline characterization.  ``SequentialExecution`` degrades to a
-        plain generator loop.
+        plain generator loop.  On both roads an input that raises fails
+        the run with a ``<stream-generator>`` record.
         """
         if input is not None:
             self.input = input
@@ -434,63 +600,91 @@ class Pipeline:
     def _run_sequential(self, values, elements: list[Element]):
         """One-thread execution with the same fault-policy contract as the
         threaded path (a policy must not change meaning under
-        ``SequentialExecution``)."""
+        ``SequentialExecution``).
+
+        Each first attempt runs inline, as in a stage thread, and only a
+        failed one reaches the ledger.  The first-attempt deliveries of
+        each stage follow once per run from the elements that entered
+        it and those the ledger settled there.
+        """
         self.backend_events = []
         trace, metrics, profiler = self._resolve_observers()
-        counters = {el.name: StageCounters() for el in elements}
-        records: list[ErrorRecord] = []
+        ledger = _Ledger(elements, metrics)
+        stages = [
+            (k, el.name, el.apply, _deadline(el))
+            for k, el in enumerate(elements)
+        ]
+        clocked = trace is not None or any(s[3] for s in stages)
+        clock = time.monotonic
+        # per stage: elements the ledger settled there, and those whose
+        # journey ended there (skipped or failed)
+        settled = [0] * len(elements)
+        stopped = [0] * len(elements)
         generated = 0
-        delivered = 0
-        for seq, v in enumerate(values):
+
+        def finish() -> None:
+            entering = generated
+            for k, el in enumerate(elements):
+                ledger.delivered(el.name, entering - settled[k])
+                entering -= stopped[k]
+            self._set_stats(
+                elements, None, ledger, generated, generated - sum(stopped),
+                None, None, [], executed="serial",
+            )
+
+        next_value = values.__next__
+        while True:
+            try:
+                v = next_value()
+            except StopIteration:
+                break
+            except Exception as exc:
+                # an interrupt or exit raised in the caller's thread
+                # propagates as itself
+                ledger.record(STREAM_GENERATOR, generated, exc)
+                finish()
+                raise self._failure(ledger.records)
+            seq = generated
             generated += 1
-            dropped = False
-            for el in elements:
-                policy = el.fault_policy or _DEFAULT_POLICY
+            for k, name, fn, deadline in stages:
+                if profiler is not None:
+                    window = profiler.work(name, seq)
+                    window.__enter__()
+                outcome = None
                 try:
-                    if profiler is not None:
-                        with profiler.work(el.name, seq):
-                            outcome = policy.execute(
-                                el.apply, v, trace=trace, stage=el.name,
-                                seq=seq, metrics=metrics,
+                    if clocked:
+                        started = clock()
+                        result = fn(v)
+                        ended = clock()
+                        if deadline and ended - started > deadline:
+                            raise _missed(ended - started, deadline)
+                        if trace is not None:
+                            trace.record(
+                                "execute", name, seq, started, ended, 1
                             )
                     else:
-                        outcome = policy.execute(
-                            el.apply, v, trace=trace, stage=el.name, seq=seq,
-                            metrics=metrics,
-                        )
-                except CancelledError as exc:
-                    # no token runs this road: the body's own
-                    outcome = Outcome("failed", None, 1, exc)
-                counters[el.name].account(outcome)
-                if metrics is not None:
-                    count_outcome(
-                        metrics, el.name, outcome.action, outcome.retried
+                        result = fn(v)
+                except BaseException as exc:
+                    outcome = ledger.settle(
+                        elements[k], v, exc, started if clocked else 0.0,
+                        seq, trace,
                     )
-                if outcome.error is not None:
-                    records.append(
-                        ErrorRecord(el.name, seq, outcome.error, outcome.attempts)
-                    )
-                if outcome.action == "failed":
-                    self._set_stats(
-                        elements, None, counters, records, generated,
-                        delivered, None, None, [], executed="serial",
-                    )
-                    raise PipelineError(
-                        self._error_message(records),
-                        records=records,
-                        stats=self.stats,
-                    )
-                if outcome.action == "skipped":
-                    dropped = True
-                    break
-                v = outcome.value
-            if not dropped:
-                delivered += 1
+                finally:
+                    if profiler is not None:
+                        window.__exit__(None, None, None)
+                if outcome is not None:
+                    settled[k] += 1
+                    if outcome.action in ("failed", "skipped"):
+                        stopped[k] += 1
+                        if outcome.action == "failed":
+                            finish()
+                            raise self._failure(ledger.records)
+                        break
+                    result = outcome.value
+                v = result
+            else:
                 yield v
-        self._set_stats(
-            elements, None, counters, records, generated, delivered,
-            None, None, [], executed="serial",
-        )
+        finish()
 
     # ------------------------------------------------------------------
     # threaded execution
@@ -498,9 +692,8 @@ class Pipeline:
     def _set_stats(
         self,
         elements: list[Element],
-        buffers: list[BoundedBuffer] | None,
-        counters: dict[str, StageCounters],
-        records: list[ErrorRecord],
+        buffers: list[Any] | None,
+        ledger: _Ledger,
         generated: int,
         delivered: int,
         cancelled: str | None,
@@ -508,6 +701,7 @@ class Pipeline:
         leaked: list[str],
         executed: str = "thread",
     ) -> None:
+        counters = ledger.counters
         self.stats = {
             "backend": executed,
             "backend_events": [e.as_dict() for e in self.backend_events],
@@ -516,7 +710,9 @@ class Pipeline:
                 [b.max_occupancy for b in buffers] if buffers else []
             ),
             "counters": {name: c.as_dict() for name, c in counters.items()},
-            "errors": [(r.stage, r.seq, repr(r.error)) for r in records],
+            "errors": [
+                (r.stage, r.seq, repr(r.error)) for r in ledger.records
+            ],
             "generated": generated,
             "delivered": delivered,
             "skipped": sum(c.skipped for c in counters.values()),
@@ -543,13 +739,28 @@ class Pipeline:
                     self.trace.last_progress()
                 )
 
-    @staticmethod
-    def _error_message(records: list[ErrorRecord]) -> str:
+    def _failure(self, records: list[ErrorRecord]) -> PipelineError:
+        """The error a failed run raises, once its stats are set."""
         first = records[0]
         more = f" (+{len(records) - 1} more error(s))" if len(records) > 1 else ""
-        return f"stage {first.stage!r} failed: {first.error!r}{more}"
+        return PipelineError(
+            f"stage {first.stage!r} failed: {first.error!r}{more}",
+            records=records,
+            stats=self.stats,
+        )
 
     def _stream_threaded(self, values, elements: list[Element]):
+        """One thread per stage replica, joined by bounded buffers.
+
+        ``values`` is :meth:`run`'s whole input as a list, or
+        :meth:`stream`'s iterator.  A list needs neither end of the
+        chain to be a buffer: stage 0 takes its batches through a
+        :class:`_ListSource` and the last stage appends to a
+        :class:`_ListSink` that wakes the caller once.  An iterator is
+        fed to stage 0 by the stream generator thread through a bounded
+        buffer, and the caller drains a final bounded buffer as outputs
+        arrive.
+        """
         self.backend_events = []
         trace, metrics, profiler = self._resolve_observers()
         if self.backend == "process":
@@ -568,67 +779,67 @@ class Pipeline:
                 )
         eos = EndOfStream()
         n = len(elements)
-        buffers = [
-            BoundedBuffer(self.buffer_capacity) for _ in range(n + 1)
+        capacity = self.buffer_capacity
+        source: _ListSource | None = None
+        sink: _ListSink | None = None
+        if isinstance(values, list):
+            source = _ListSource(values, capacity, eos)
+            sink = _ListSink()
+        buffers: list[Any] = [
+            source if source is not None else BoundedBuffer(capacity),
+            *(BoundedBuffer(capacity) for _ in range(n - 1)),
+            sink if sink is not None else BoundedBuffer(capacity),
         ]
         token = CancellationToken()
-        records: list[ErrorRecord] = []
-        rec_lock = threading.Lock()
-        counters = {el.name: StageCounters() for el in elements}
-        in_flight: dict[str, set[int]] = {el.name: set() for el in elements}
-        fl_lock = threading.Lock()
-        generated = [0]
+        ledger = _Ledger(elements, metrics)
+        generated = [len(values) if source is not None else 0]
         failed = [False]  # a fail_fast failure triggered the cancellation
         stall: list[tuple[str, list[int]] | None] = [None]
         done = threading.Event()
-
-        # nested master/worker groups must stop claiming tasks on cancel
-        for el in elements:
-            if isinstance(el, MasterWorker):
-                el.cancel = token
-
-        def record(stage: str, seq: int, exc: BaseException, attempts: int = 1) -> None:
-            with rec_lock:
-                records.append(ErrorRecord(stage, seq, exc, attempts))
-
         threads: list[threading.Thread] = []
 
-        # implicit first stage: the StreamGenerator (PLPL); consumes the
-        # input lazily — the bounded buffer provides backpressure
-        def generator() -> None:
-            try:
-                for seq, v in enumerate(values):
-                    buffers[0].put((seq, v), cancel=token)
-                    generated[0] += 1
-            except BaseException as exc:
-                if token.cancelled and isinstance(exc, CancelledError):
-                    # the run's token fired; the input's own
-                    # CancelledError is a failure like any other
-                    if trace is not None:
-                        trace.instant(
-                            "cancel", STREAM_GENERATOR, -1,
-                            reason=token.reason or "cancelled",
-                        )
+        if source is None:
+            # implicit first stage: the StreamGenerator (PLPL); consumes
+            # the input lazily — the bounded buffer provides backpressure
+            def generator() -> None:
+                try:
+                    for seq, v in enumerate(values):
+                        buffers[0].put((seq, v), cancel=token)
+                        generated[0] += 1
+                except BaseException as exc:
+                    if token.cancelled and isinstance(exc, CancelledError):
+                        # the run's token fired; the input's own
+                        # CancelledError is a failure like any other
+                        if trace is not None:
+                            trace.instant(
+                                "cancel", STREAM_GENERATOR, -1,
+                                reason=token.reason or "cancelled",
+                            )
+                        return
+                    ledger.record(STREAM_GENERATOR, generated[0], exc)
+                    failed[0] = True
+                    token.cancel(f"stage {STREAM_GENERATOR} failed: {exc!r}")
                     return
-                record(STREAM_GENERATOR, generated[0], exc)
-                failed[0] = True
-                token.cancel(f"stage {STREAM_GENERATOR} failed: {exc!r}")
-                return
-            try:
-                buffers[0].put(eos, cancel=token)
-            except CancelledError:
-                pass
+                try:
+                    buffers[0].put(eos, cancel=token)
+                except CancelledError:
+                    pass
 
-        threads.append(
-            threading.Thread(
-                target=generator, name=f"{self.name}-gen", daemon=True
+            threads.append(
+                threading.Thread(
+                    target=generator, name=f"{self.name}-gen", daemon=True
+                )
             )
-        )
 
-        # elements each stage replica has taken in a batch but not yet
-        # started: still queued for the stage, though no longer in its
-        # buffer (one slot per replica, so no lock is needed to update it)
+        # per stage replica: the elements it has taken in a batch but not
+        # yet started (still queued for the stage, though no longer in its
+        # buffer), and the seq it is running (None between elements, so
+        # the stall diagnosis sees which stage is mid-element).  Each
+        # replica writes only its own slots, so neither needs a lock.
         held = [[0] * getattr(el, "replication", 1) for el in elements]
+        running: list[list[int | None]] = [
+            [None] * getattr(el, "replication", 1) for el in elements
+        ]
 
         def queued(i: int) -> int:
             return len(buffers[i]) + sum(held[i])
@@ -638,6 +849,7 @@ class Pipeline:
         # batch at once, while a slow or GIL-releasing body hands off each
         # element as it finishes, keeping the stages overlapped
         flush_after = sys.getswitchinterval()
+        observed = not (trace is None and metrics is None and profiler is None)
 
         for i, el in enumerate(elements):
             replication = getattr(el, "replication", 1)
@@ -651,130 +863,150 @@ class Pipeline:
                 slot: int,
                 el: Element = el,
                 i: int = i,
-                inbuf: BoundedBuffer = inbuf,
-                outbuf: BoundedBuffer = outbuf,
+                inbuf: Any = inbuf,
+                outbuf: Any = outbuf,
                 reorder: _Reorderer | None = reorder,
                 remaining: list[int] = remaining,
                 stage_lock: threading.Lock = stage_lock,
                 share: int = replication,
             ) -> None:
-                policy = el.fault_policy or _DEFAULT_POLICY
-                stage_counters = counters[el.name]
-                flights = in_flight[el.name]
+                name = el.name
+                fn = el.apply
+                deadline = _deadline(el)
+                clocked = trace is not None or bool(deadline)
+                clock = time.monotonic
                 mine = held[i]
+                busy = running[i]
                 if reorder is not None:
-                    forward = reorder.put_batch
+                    put = reorder.put_batch
                 else:
-                    def forward(outputs: list[tuple[int, Any]]) -> None:
-                        outbuf.put_batch(outputs, cancel=token)
+                    put = functools.partial(outbuf.put_batch, cancel=token)
+                outputs: list[tuple[int, Any]] = []
+                settled = 0  # entries of outputs the ledger has counted
+
+                def forward() -> None:
+                    # first-attempt deliveries are counted once per forward
+                    nonlocal outputs, settled
+                    ready, outputs = outputs, []
+                    ledger.delivered(name, len(ready) - settled)
+                    settled = 0
+                    if ready:
+                        put(ready)
+
                 try:
                     while True:
-                        wait_start = (
-                            time.monotonic() if trace is not None else 0.0
-                        )
+                        wait_start = clock() if trace is not None else 0.0
                         # one hop moves what is queued (this replica's
-                        # share of it); each element still runs and is
-                        # accounted on its own
+                        # share of it); each element still runs, is
+                        # observed and fails on its own
                         batch = inbuf.get_batch(share, cancel=token)
-                        outputs: list[tuple[int, Any]] = []
-                        since = time.monotonic()
-                        for k, item in enumerate(batch):
-                            mine[slot] = len(batch) - k - 1
-                            if isinstance(item, EndOfStream):
+                        since = clock()
+                        left = len(batch)
+                        for item in batch:
+                            left -= 1
+                            mine[slot] = left
+                            if item is eos:
                                 # upstream puts the marker after all of its
                                 # outputs, so it ends the batch
-                                forward(outputs)
+                                forward()
                                 with stage_lock:
                                     remaining[0] -= 1
                                     last = remaining[0] == 0
-                                if not last:
-                                    inbuf.put(item, cancel=token)  # hand to sibling
-                                else:
+                                if last:
                                     if reorder is not None:
                                         reorder.flush()
-                                    outbuf.put(item, cancel=token)
+                                    outbuf.put(eos, cancel=token)
+                                elif inbuf is not source:
+                                    # hand to a sibling; the source hands
+                                    # every replica its own
+                                    inbuf.put(eos, cancel=token)
                                 return
                             seq, value = item
-                            if trace is not None:
-                                trace.record(
-                                    "queue_wait", el.name, seq, wait_start
-                                )
-                            if metrics is not None:
-                                # live queue-depth / in-flight gauges: this is
-                                # what the dashboard renders as utilization
-                                metrics.gauge(
-                                    "stage_queue_depth", stage=el.name
-                                ).set(queued(i))
-                                metrics.gauge(
-                                    "items_in_flight", stage=el.name
-                                ).inc()
-                            with fl_lock:
-                                flights.add(seq)
-                            try:
+                            if token.cancelled:
+                                token.raise_if_cancelled()
+                            if observed:
+                                if trace is not None:
+                                    trace.record(
+                                        "queue_wait", name, seq, wait_start
+                                    )
+                                if metrics is not None:
+                                    # live queue-depth / in-flight gauges:
+                                    # what the dashboard renders as
+                                    # utilization
+                                    metrics.gauge(
+                                        "stage_queue_depth", stage=name
+                                    ).set(queued(i))
+                                    metrics.gauge(
+                                        "items_in_flight", stage=name
+                                    ).inc()
                                 if profiler is not None:
-                                    with profiler.work(el.name, seq):
-                                        outcome = policy.execute(
-                                            el.apply, value, cancel=token,
-                                            trace=trace, stage=el.name,
-                                            seq=seq, metrics=metrics,
+                                    window = profiler.work(name, seq)
+                                    window.__enter__()
+                            busy[slot] = seq
+                            outcome = None
+                            try:
+                                if clocked:
+                                    started = clock()
+                                    result = fn(value)
+                                    ended = clock()
+                                    took = ended - started
+                                    if deadline and took > deadline:
+                                        raise _missed(took, deadline)
+                                    if trace is not None:
+                                        trace.record(
+                                            "execute", name, seq, started,
+                                            ended, 1,
                                         )
                                 else:
-                                    outcome = policy.execute(
-                                        el.apply, value, cancel=token,
-                                        trace=trace, stage=el.name, seq=seq,
-                                        metrics=metrics,
-                                    )
-                            except CancelledError as exc:
-                                if token.cancelled:
-                                    raise
-                                # the body's own, not the run's: this
-                                # element failed
-                                outcome = Outcome("failed", None, 1, exc)
+                                    result = fn(value)
+                            except BaseException as exc:
+                                outcome = ledger.settle(
+                                    el, value, exc,
+                                    started if clocked else 0.0, seq, trace,
+                                    token,
+                                )
                             finally:
-                                with fl_lock:
-                                    flights.discard(seq)
-                                if metrics is not None:
-                                    metrics.gauge(
-                                        "items_in_flight", stage=el.name
-                                    ).dec()
-                            stage_counters.account(outcome)
-                            if metrics is not None:
-                                count_outcome(
-                                    metrics, el.name,
-                                    outcome.action, outcome.retried,
-                                )
-                            if outcome.error is not None:
-                                record(
-                                    el.name, seq, outcome.error,
-                                    outcome.attempts,
-                                )
-                            if outcome.action == "failed":
+                                busy[slot] = None
+                                if observed:
+                                    if metrics is not None:
+                                        metrics.gauge(
+                                            "items_in_flight", stage=name
+                                        ).dec()
+                                    if profiler is not None:
+                                        window.__exit__(None, None, None)
+                            if outcome is None:
+                                outputs.append((seq, result))
+                            elif outcome.action == "failed":
                                 failed[0] = True
                                 try:
                                     # what finished before the failure
                                     # still reaches the next stage
-                                    forward(outputs)
+                                    forward()
                                 finally:
                                     token.cancel(
-                                        f"stage {el.name!r} failed: "
+                                        f"stage {name!r} failed: "
                                         f"{outcome.error!r}"
                                     )
                                 return
-                            if outcome.action != "skipped":
+                            elif outcome.action != "skipped":
                                 outputs.append((seq, outcome.value))
+                                settled += 1
                             elif reorder is not None:
                                 outputs.append((seq, _Reorderer.SKIPPED))
-                            if outputs and time.monotonic() - since >= flush_after:
-                                forward(outputs)
-                                outputs = []
-                                since = time.monotonic()
+                                settled += 1
+                            if outputs and clock() - since >= flush_after:
+                                forward()
+                                since = clock()
                             if trace is not None:
-                                wait_start = time.monotonic()
-                        forward(outputs)
+                                wait_start = clock()
+                        forward()
                 except CancelledError:
+                    # what this replica finished still counts as delivered
+                    # by the stage, though it never reached the next one
+                    ledger.delivered(name, len(outputs) - settled)
                     if trace is not None:
                         trace.instant(
-                            "cancel", el.name, -1,
+                            "cancel", name, -1,
                             reason=token.reason or "cancelled",
                         )
                     return
@@ -798,12 +1030,13 @@ class Pipeline:
 
             def diagnose() -> tuple[str, list[int]]:
                 occupancy = [queued(k) for k in range(n)] + [len(buffers[n])]
-                with fl_lock:
-                    busy = sorted(
-                        name for name, seqs in in_flight.items() if seqs
-                    )
+                busy = [
+                    el.name
+                    for el, slots in zip(elements, running)
+                    if any(seq is not None for seq in slots)
+                ]
                 if busy:
-                    return busy[0], occupancy
+                    return min(busy), occupancy
                 # no element mid-apply: the fullest input buffer feeds the
                 # stage that is not draining it
                 if any(occupancy):
@@ -815,12 +1048,15 @@ class Pipeline:
                 last = -1
                 last_change = time.monotonic()
                 while not done.wait(poll):
-                    # progress is per element: a stage working through a
-                    # batch crosses no buffer until it forwards the batch,
-                    # so each element a stage finishes counts as well
+                    # a stage working through a batch crosses no buffer
+                    # until it forwards, so the elements each stage has
+                    # finished count as progress as well; first-attempt
+                    # deliveries are counted per forward, which the
+                    # switch-interval flush makes at least once per slow
+                    # element
                     current = sum(b.transfers for b in buffers) + sum(
                         c.delivered + c.skipped + c.failed
-                        for c in counters.values()
+                        for c in ledger.counters.values()
                     )
                     now = time.monotonic()
                     if current != last:
@@ -838,30 +1074,44 @@ class Pipeline:
                 target=watchdog, name=f"{self.name}-watchdog", daemon=True
             )
 
+        # nested master/worker groups stop claiming tasks on cancel; each
+        # gets its own token back when the run ends
+        groups = {
+            el: el.cancel for el in elements if isinstance(el, MasterWorker)
+        }
+        for group in groups:
+            group.cancel = token
         for t in threads:
             t.start()
         if watchdog_thread is not None:
             watchdog_thread.start()
 
-        # the caller consumes the final buffer; values are yielded as they
-        # arrive (seq order when every replicated stage preserves order,
-        # arrival order otherwise — the OrderPreservation=False contract)
-        final = buffers[-1]
         delivered = 0
         loop_ended = False
         try:
-            while True:
-                try:
-                    batch = final.get_batch(cancel=token)
-                except CancelledError:
-                    break
-                for item in batch:
-                    if isinstance(item, EndOfStream):
+            if sink is not None:
+                sink.wait(token)
+                delivered = len(sink.items)
+                for _seq, value in sink.items:
+                    yield value
+            else:
+                # the caller consumes the final buffer; values are yielded
+                # as they arrive (seq order when every replicated stage
+                # preserves order, arrival order otherwise — the
+                # OrderPreservation=False contract)
+                final = buffers[n]
+                while True:
+                    try:
+                        batch = final.get_batch(cancel=token)
+                    except CancelledError:
                         break
-                    delivered += 1
-                    yield item[1]
-                if isinstance(batch[-1], EndOfStream):
-                    break
+                    for item in batch:
+                        if item is eos:
+                            break
+                        delivered += 1
+                        yield item[1]
+                    if batch[-1] is eos:
+                        break
             loop_ended = True
         finally:
             done.set()
@@ -877,6 +1127,8 @@ class Pipeline:
             if watchdog_thread is not None:
                 watchdog_thread.join(1.0)
             leaked = [t.name for t in threads if t.is_alive()]
+            for group, previous in groups.items():
+                group.cancel = previous
             if metrics is not None:
                 # settle the gauges to the final buffer state so the
                 # closing snapshot reflects the drained (or wedged) run
@@ -885,9 +1137,8 @@ class Pipeline:
                         "stage_queue_depth", stage=el.name
                     ).set(queued(i))
             self._set_stats(
-                elements, buffers, counters, records, generated[0],
-                delivered, token.reason if token.cancelled else None,
-                stall[0], leaked,
+                elements, buffers, ledger, generated[0], delivered,
+                token.reason if token.cancelled else None, stall[0], leaked,
             )
             if loop_ended:
                 if stall[0] is not None:
@@ -896,7 +1147,7 @@ class Pipeline:
                         stage,
                         occupancy,
                         float(self.stall_timeout or 0.0),
-                        records=records,
+                        records=ledger.records,
                         stats=self.stats,
                         history=trace.last(5) if trace is not None else None,
                         last_progress=(
@@ -906,8 +1157,4 @@ class Pipeline:
                         ),
                     )
                 if failed[0]:
-                    raise PipelineError(
-                        self._error_message(records),
-                        records=records,
-                        stats=self.stats,
-                    )
+                    raise self._failure(ledger.records)

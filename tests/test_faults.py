@@ -2,6 +2,7 @@
 chaos injection, and the end-to-end tuning-file wiring of the fault
 knobs."""
 
+import sys
 import threading
 import time
 
@@ -25,9 +26,10 @@ from repro.runtime import (
     parallel_reduce,
 )
 from repro.runtime import faults
+from repro.runtime import pipeline as pipeline_module
 from repro.runtime.backend import _run_map_chunk
 from repro.runtime.faults import Outcome
-from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.metrics import MetricsRegistry, count_outcome
 from repro.runtime.parallel_for import configured_parallel_for
 from repro.runtime.trace import TraceCollector
 
@@ -339,6 +341,348 @@ class TestChunkLoopMatchesExecute:
 
 
 # ---------------------------------------------------------------------------
+# the pipeline stage loop against per-element execute()
+# ---------------------------------------------------------------------------
+
+STAGE_CHOSEN, STAGE_SLOW, STAGE_INPUT = 3, 5, list(range(12))
+
+#: the middle stage's policy (``None``: no policy configured)
+STAGE_POLICIES = {
+    name: policy for name, policy in CHUNK_POLICIES.items()
+    if name != "default"
+}
+
+
+class ThreadClock(PolicyClock):
+    """A :class:`PolicyClock` per thread: a body's sleep moves only its
+    own thread's time, so a replica's deadline never sees a sibling's."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    @property
+    def now(self):
+        return getattr(self._local, "now", 0.0)
+
+    @now.setter
+    def now(self, value):
+        self._local.now = value
+
+
+def stage_body(kind, clock):
+    """The middle stage: ``ok``, or failing at ``STAGE_CHOSEN`` ``once``
+    or ``always``, or raising its own ``CancelledError`` there.  With a
+    ``clock``, element ``STAGE_SLOW``'s first attempt takes 0.1 s on
+    it, overrunning the item timeout."""
+    seen = set()
+
+    def body(x):
+        first = x not in seen
+        seen.add(x)
+        if clock is not None and x == STAGE_SLOW and first:
+            clock.sleep(0.1)
+        if x == STAGE_CHOSEN:
+            if kind == "cancel":
+                raise CancelledError(f"cancelled at {x}")
+            if kind == "always" or (kind == "once" and first):
+                raise ValueError(f"poison {x}")
+        return x * 10
+
+    return body
+
+
+def stage_list(body, policy):
+    """``(name, fn, policy)`` per stage: the body between two plain
+    stages."""
+    return [
+        ("head", lambda x: x, None),
+        ("mid", body, policy),
+        ("tail", lambda x: x + 1, None),
+    ]
+
+
+def per_element_pipeline(stages, values, trace, metrics, queue_waits=True):
+    """The reference: every element through each stage's
+    :meth:`FaultPolicy.execute` in seq order, accounted per element as
+    the per-element stage loop did, with a ``queue_wait`` span before
+    each element of each stage when ``queue_waits``."""
+    out, records = [], []
+    counters = {
+        name: dict.fromkeys(
+            ("delivered", "retried", "skipped", "fallbacks", "failed"), 0
+        )
+        for name, _fn, _policy in stages
+    }
+    failed = False
+    for seq, v in enumerate(values):
+        for name, fn, policy in stages:
+            if trace is not None and queue_waits:
+                trace.record("queue_wait", name, seq, time.monotonic())
+            try:
+                outcome = (policy or FaultPolicy()).execute(
+                    fn, v, None, trace, name, seq, metrics
+                )
+            except CancelledError as exc:
+                outcome = Outcome("failed", None, 1, exc)
+            c = counters[name]
+            c["retried"] += outcome.retried
+            if metrics is not None:
+                count_outcome(metrics, name, outcome.action, outcome.retried)
+            if outcome.error is not None:
+                records.append((
+                    name, seq, type(outcome.error).__name__,
+                    outcome.attempts,
+                ))
+            if outcome.action == "failed":
+                c["failed"] += 1
+                failed = True
+                break
+            if outcome.action == "skipped":
+                c["skipped"] += 1
+                break
+            c["delivered"] += 1
+            c["fallbacks"] += outcome.action == "fallback"
+            v = outcome.value
+        else:
+            out.append(v)
+        if failed:
+            break
+    return {
+        "failed": failed, "out": out, "records": records,
+        "counters": counters, "generated": len(values),
+        "delivered": len(out),
+    }
+
+
+def stage_loop_run(stages, values, trace, metrics, road, replication,
+                   ordered, capacity):
+    """One pipeline run over ``stages``, in the reference's shape."""
+    pipe = Pipeline(
+        *(Item(fn, name=name, replicable=True) for name, fn, _ in stages),
+        buffer_capacity=capacity, stall_timeout=5.0,
+        sequential=road == "sequential", trace=trace, metrics=metrics,
+    )
+    for name, _fn, policy in stages:
+        pipe.element(name).fault_policy = policy
+    mid = pipe.element("mid")
+    mid.replication = replication
+    mid.order_preservation = ordered
+    try:
+        if road == "run":
+            out = pipe.run(values)
+        else:
+            out = list(pipe.stream(v for v in values))
+    except PipelineError as exc:
+        assert not isinstance(exc, PipelineStallError)
+        assert exc.stats == pipe.stats
+        out, failed = [], True
+        records = [
+            (r.stage, r.seq, type(r.error).__name__, r.attempts)
+            for r in exc.records
+        ]
+    else:
+        # a run that returns reports its records without attempts; the
+        # retried counters carry those
+        failed = False
+        records = [
+            (stage, seq, error.split("(", 1)[0])
+            for stage, seq, error in pipe.stats["errors"]
+        ]
+    stats = pipe.stats
+    assert stats["stall"] is None and stats["leaked_threads"] == []
+    return {
+        "failed": failed, "out": out, "records": records,
+        "counters": stats["counters"], "generated": stats["generated"],
+        "delivered": stats["delivered"],
+    }
+
+
+def comparable(result, trace, metrics, ordered):
+    """What a run and the reference must agree on.  After a failure
+    only the failure itself is deterministic: sibling stages stop
+    wherever the run's cancellation finds them."""
+    if result["failed"]:
+        (stage, seq, *_rest), = result["records"]
+        view = {
+            "failed": True,
+            "records": result["records"],
+            "failed_count": result["counters"][stage]["failed"],
+        }
+        keep = {(stage, seq)}
+    else:
+        view = {
+            key: result[key]
+            for key in ("records", "counters", "generated", "delivered")
+        }
+        view["records"] = [r[:3] for r in result["records"]]
+        view["out"] = result["out"] if ordered else sorted(result["out"])
+        keep = None
+    if trace is not None:
+        kinds = {}
+        for span in trace.spans():
+            if span.seq >= 0 and (keep is None or (span.stage, span.seq) in keep):
+                kinds.setdefault((span.stage, span.seq), []).append(span.kind)
+        view["spans"] = {key: sorted(k) for key, k in kinds.items()}
+    if metrics is not None and not result["failed"]:
+        view["counters_metric"] = {
+            (family["name"], tuple(sorted(series["labels"].items()))):
+                series["value"]
+            for family in metrics.snapshot()["metrics"]
+            if family["kind"] == "counter"
+            for series in family["series"]
+        }
+    return view
+
+
+class TestPipelineStageLoop:
+    """The per-batch stage loop (inline first attempt, per-forward
+    counts, replica slots) and the sequential loop keep the per-element
+    contract of :meth:`FaultPolicy.execute`."""
+
+    @pytest.mark.parametrize("road", ["run", "stream"])
+    @pytest.mark.parametrize("capacity", [1, 8])
+    @pytest.mark.parametrize(
+        "replication,ordered", [(1, True), (2, True), (2, False)],
+        ids=["x1", "x2-ordered", "x2-unordered"],
+    )
+    @pytest.mark.parametrize("observer", ["off", "trace", "metrics"])
+    @pytest.mark.parametrize("body", ["ok", "once", "always", "cancel"])
+    @pytest.mark.parametrize("policy", list(STAGE_POLICIES))
+    def test_threaded_roads_match_per_element_execute(
+        self, policy, body, observer, replication, ordered, capacity, road,
+        monkeypatch,
+    ):
+        self.check(
+            policy, body, observer, replication, ordered, capacity, road,
+            monkeypatch,
+        )
+
+    @pytest.mark.parametrize("observer", ["off", "trace", "metrics"])
+    @pytest.mark.parametrize("body", ["ok", "once", "always", "cancel"])
+    @pytest.mark.parametrize("policy", list(STAGE_POLICIES))
+    def test_sequential_road_matches_per_element_execute(
+        self, policy, body, observer, monkeypatch
+    ):
+        self.check(policy, body, observer, 1, True, 8, "sequential",
+                   monkeypatch)
+
+    @staticmethod
+    def check(policy, body, observer, replication, ordered, capacity, road,
+              monkeypatch):
+        policy = STAGE_POLICIES[policy]
+        clock = None
+        if policy is not None and policy.item_timeout is not None:
+            clock = ThreadClock()
+            monkeypatch.setattr(faults, "time", clock)
+            monkeypatch.setattr(pipeline_module, "time", clock)
+
+        def observers():
+            return (
+                TraceCollector() if observer == "trace" else None,
+                MetricsRegistry() if observer == "metrics" else None,
+            )
+
+        trace, metrics = observers()
+        got = comparable(
+            stage_loop_run(
+                stage_list(stage_body(body, clock), policy), STAGE_INPUT,
+                trace, metrics, road, replication, ordered, capacity,
+            ),
+            trace, metrics, ordered,
+        )
+        trace, metrics = observers()
+        want = comparable(
+            per_element_pipeline(
+                stage_list(stage_body(body, clock), policy), STAGE_INPUT,
+                trace, metrics, queue_waits=road != "sequential",
+            ),
+            trace, metrics, ordered,
+        )
+        assert got == want
+
+    def test_run_starts_only_the_stage_threads_and_the_watchdog(
+        self, monkeypatch
+    ):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        pipe = Pipeline(
+            Item(lambda x: x + 1, name="parse"),
+            Item(lambda x: x * 2, name="compute", replicable=True),
+            Item(lambda x: x - 1, name="emit"),
+        )
+        pipe.configure({"StageReplication@compute": 2})
+        assert pipe.run(range(50)) == [(x + 1) * 2 - 1 for x in range(50)]
+        assert sorted(started) == [
+            "pipeline-compute-0", "pipeline-compute-1", "pipeline-emit-0",
+            "pipeline-parse-0", "pipeline-watchdog",
+        ]
+        # a lazy input keeps its generator thread
+        started.clear()
+        assert list(pipe.stream(iter(range(5)))) == [
+            (x + 1) * 2 - 1 for x in range(5)
+        ]
+        assert "pipeline-gen" in started and len(started) == 6
+
+    def test_replicas_share_the_source_and_sink_under_a_short_switch(self):
+        # four replicas each of the first and the last stage on two
+        # cores, with the interpreter switching threads every
+        # microsecond: a lost update in the list source, the sink or a
+        # per-forward count would drop, repeat or miscount an element
+        values = list(range(3000))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for ordered in (True, False):
+                pipe = Pipeline(
+                    Item(lambda x: x * 2, name="A", replicable=True),
+                    Item(lambda x: x + 1, name="B", replicable=True),
+                    buffer_capacity=3, stall_timeout=10.0,
+                )
+                pipe.configure({
+                    "StageReplication@A": 4, "StageReplication@B": 4,
+                    "OrderPreservation@A": ordered,
+                    "OrderPreservation@B": ordered,
+                })
+                out = pipe.run(values)
+                want = [x * 2 + 1 for x in values]
+                assert (out if ordered else sorted(out)) == want
+                stats = pipe.stats
+                assert stats["generated"] == stats["delivered"] == 3000
+                assert [c["delivered"] for c in stats["counters"].values()] \
+                    == [3000, 3000]
+                assert stats["leaked_threads"] == []
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_wedged_stage_under_run_raises_stall_and_reports_its_thread(self):
+        wedge = threading.Event()  # set only to release the leaked thread
+        stall_timeout = 0.5
+        pipe = Pipeline(
+            Item(lambda x: x + 1, name="A"),
+            Item(lambda x: wedge.wait(60) or x, name="W"),
+            Item(lambda x: x, name="C"),
+            stall_timeout=stall_timeout,
+        )
+        started = time.monotonic()
+        try:
+            with pytest.raises(PipelineStallError, match="'W'") as ei:
+                pipe.run(range(40))
+            assert time.monotonic() - started < stall_timeout + 1.0
+            assert ei.value.stage == "W"
+            assert pipe.stats["leaked_threads"] == ["pipeline-W-0"]
+            # W holds element 0; A's input is the source's remainder
+            assert ei.value.occupancy[0] > 0
+        finally:
+            wedge.set()
+
+
+# ---------------------------------------------------------------------------
 # CancellationToken
 # ---------------------------------------------------------------------------
 
@@ -587,10 +931,10 @@ def _cancelled_at_three(x):
     return x
 
 
-def _input_cancelled_at_three():
+def _input_fails_at_three(error):
     for i in range(8):
         if i == 3:
-            raise CancelledError("input cancelled")
+            raise error("input failed")
         yield i
 
 
@@ -617,21 +961,32 @@ class TestPipelineBodyCancelledError:
             (r.stage, r.seq, type(r.error)) for r in ei.value.records
         ] == [("bad", 3, CancelledError)]
 
-    def test_input_fails_at_once_with_the_record(self):
-        # the threaded road's stream generator; the sequential road lets
-        # an input's error escape bare, a ValueError's as well
+    @pytest.mark.parametrize("error", [CancelledError, ValueError])
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_input_fails_at_once_with_the_record(self, sequential, error):
+        # the threaded road's stream generator and the sequential loop
+        # record the input's error alike, a CancelledError as well
         pipe = Pipeline(
             Item(lambda x: x, name="parse"), Item(lambda x: x, name="emit"),
             stall_timeout=5.0,
+            sequential=sequential,
         )
         started = time.monotonic()
         with pytest.raises(PipelineError) as ei:
-            list(pipe.stream(_input_cancelled_at_three()))
+            list(pipe.stream(_input_fails_at_three(error)))
         assert time.monotonic() - started < 1.0
         assert not isinstance(ei.value, PipelineStallError)
         assert [
             (r.stage, r.seq, type(r.error)) for r in ei.value.records
-        ] == [("<stream-generator>", 3, CancelledError)]
+        ] == [("<stream-generator>", 3, error)]
+        assert pipe.stats["generated"] == 3
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_run_lets_an_input_error_escape_bare(self, sequential):
+        # run() reads its whole input before either road starts
+        pipe = Pipeline(Item(lambda x: x, name="A"), sequential=sequential)
+        with pytest.raises(ValueError, match="input failed"):
+            pipe.run(_input_fails_at_three(ValueError))
 
     def test_group_cancelled_by_the_run_leaves_no_record(self):
         # the input's failure fires the run's token while a master/worker
@@ -985,6 +1340,31 @@ class TestMasterWorkerSupervision:
         with pytest.raises(ValueError):
             mw.run([make(k) for k in range(200)])
         assert calls[0] < 200
+
+
+class TestPipelineGroupToken:
+    @pytest.mark.parametrize("previous", [None, "outer"])
+    def test_a_failed_run_gives_the_group_its_token_back(self, previous):
+        # the run's token reaches a master/worker stage only for the run;
+        # a fired one left behind would cancel the group's later runs
+        def fails(x):
+            if x == 3:
+                raise ValueError("bad 3")
+            return x
+
+        outer = CancellationToken() if previous else None
+        group = MasterWorker(
+            Item(lambda x: x + 1, name="inc"), Item(lambda x: x * 2, name="dbl"),
+            workers=2, merge=lambda v, results: v, name="group",
+        )
+        group.cancel = outer
+        pipe = Pipeline(group, Item(fails, name="f"), stall_timeout=5.0)
+        with pytest.raises(PipelineError, match="'f'"):
+            pipe.run(range(8))
+        assert group.cancel is outer
+        assert group.run([lambda: 1, lambda: 2]) == [1, 2]
+        again = Pipeline(group, Item(lambda x: x, name="emit"), sequential=True)
+        assert again.run([1, 2]) == [1, 2]
 
 
 # ---------------------------------------------------------------------------
