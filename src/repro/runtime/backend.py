@@ -19,8 +19,9 @@ Design contract, mirroring the supervised thread pools:
   are shipped by value via :class:`ShippedFunction` — code object through
   ``marshal``, referenced globals and closure cells recursively.
 * **graceful degradation** — a body that cannot cross the boundary is
-  detected *up front* (:func:`build_process_payload` returns the reason)
-  and the caller falls back to the thread backend, recording a
+  detected *up front* (:func:`ship_kernel` returns the reason, before a
+  pool session is taken or any input placed) and the caller falls back
+  to the thread backend, recording a
   :class:`BackendEvent` and raising a :class:`BackendFallbackWarning` —
   never a mid-run crash.
 * **supervision parity** — the :class:`~repro.runtime.faults.FaultPolicy`
@@ -36,7 +37,9 @@ Design contract, mirroring the supervised thread pools:
   lock-free stop flag (:class:`SharedFlag`) the moment it fires; workers
   read the flag before every element.
 * **one pool lifetime** — every call runs on a warm, registered
-  :class:`PoolSession`; a session idle past :data:`IDLE_BOUND` is reaped.
+  :class:`PoolSession` (taken with :func:`pool_session`); a session idle
+  past :data:`IDLE_BOUND` is reaped, and with it its shared-memory
+  input arena.
 
 A wedged pool cannot hang the caller: the result collector polls worker
 liveness and a worker that dies without its done-marker is detected,
@@ -82,12 +85,13 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mpconn
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.runtime.chaos import ChaosInjector
 from repro.runtime.faults import CancellationToken, FaultPolicy
 from repro.runtime.metrics import MetricsRegistry, StageSeries
 from repro.runtime.profiler import SamplingProfiler
+from repro.runtime.shm import InputArena, InputMapping, ShmOutputWriter
 from repro.runtime.trace import TraceCollector
 
 #: the three execution substrates, in increasing setup-cost order
@@ -550,12 +554,11 @@ class ProcessPayload:
     """A prepared work payload, split along the ship-once seam.
 
     ``kernel_blob`` is everything constant across calls with the same
-    loop body (the body, policy, reduce op, label and each observer's
-    spec) — a :class:`PoolSession` ships it to each member once per
-    distinct ``digest`` and refers to it by digest afterwards.
-    ``call_blob`` is the per-call delta: the input spec (inline values
-    or a shared-memory block reference), the output-region spec and the
-    chunk bounds.
+    loop body (:func:`ship_kernel`) — a :class:`PoolSession` ships it to
+    each member once per distinct ``digest`` and refers to it by digest
+    afterwards.  ``call_blob`` is the per-call delta: the input spec
+    (inline values or a reference to the session's input arena), the
+    output-region spec and the chunk bounds.
     """
 
     kernel_blob: bytes
@@ -563,50 +566,62 @@ class ProcessPayload:
     digest: str
 
 
+def ship_kernel(
+    kernel: Kernel, observers: dict[str, Any] | None = None
+) -> tuple[bytes | None, str | None]:
+    """Pickle the call-constant half of a process payload.
+
+    Returns ``(kernel_blob, None)`` when the kernel can cross a process
+    boundary, ``(None, reason)`` when it cannot — the up-front detection
+    that turns an unpicklable loop body into a recorded thread fallback
+    instead of a mid-run crash.  It runs first, so a call that falls
+    back takes no pool session and places no input.  ``observers`` is
+    the run's ``{kind: observer}`` map; the kernel carries each one's
+    :data:`OBSERVERS` spec.
+    """
+    try:
+        return pickle.dumps(
+            (
+                ship_blob(kernel.body),
+                kernel.policy,
+                ship_blob(kernel.reduce_op)
+                if kernel.reduce_op is not None else None,
+                kernel.label,
+                {kind: obs.spec() for kind, obs in (observers or {}).items()},
+            ),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        ), None
+    except Exception as exc:
+        return None, f"not process-safe ({type(exc).__name__}: {exc})"
+
+
 def build_process_payload(
-    body: Callable,
+    kernel_blob: bytes,
     vals: Sequence[Any],
     chunks: Sequence[tuple[int, int]],
     *,
-    policy: FaultPolicy | None = None,
-    reduce_op: Callable | None = None,
-    label: str = "loop",
-    observers: dict[str, Any] | None = None,
     input_spec: tuple[str, Any] | None = None,
     out_spec: dict[str, Any] | None = None,
 ) -> tuple[ProcessPayload | None, str | None]:
-    """Pickle the whole work payload up front.
+    """Pickle the per-call half of the work payload.
 
-    Returns ``(payload, None)`` when the work can cross a process
-    boundary, ``(None, reason)`` when it cannot — the up-front detection
-    that turns an unpicklable loop body into a recorded thread fallback
-    instead of a mid-run crash.
-
-    ``observers`` is the run's ``{kind: observer}`` map; the kernel
-    carries each one's :data:`OBSERVERS` spec.  ``input_spec`` defaults
-    to shipping ``vals`` inline; the shm transport passes ``("shm",
-    block_spec)`` instead, and ``out_spec`` names the preallocated
+    Returns ``(payload, None)``, or ``(None, reason)`` when the inline
+    values cannot cross a process boundary.  ``input_spec`` defaults to
+    shipping ``vals`` inline; the shm transport passes ``("shm",
+    arena_spec)`` instead, and ``out_spec`` names the preallocated
     result region workers write into.
     """
     try:
-        kernel = (
-            ship_blob(body),
-            policy,
-            ship_blob(reduce_op) if reduce_op is not None else None,
-            label,
-            {kind: obs.spec() for kind, obs in (observers or {}).items()},
-        )
-        kernel_blob = pickle.dumps(kernel, protocol=pickle.HIGHEST_PROTOCOL)
         if input_spec is None:
             input_spec = ("inline", list(vals))
         call_blob = pickle.dumps(
             (input_spec, out_spec, list(chunks)),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        digest = hashlib.sha1(kernel_blob).hexdigest()
-        return ProcessPayload(kernel_blob, call_blob, digest), None
     except Exception as exc:
         return None, f"not process-safe ({type(exc).__name__}: {exc})"
+    digest = hashlib.sha1(kernel_blob).hexdigest()
+    return ProcessPayload(kernel_blob, call_blob, digest), None
 
 
 def _shippable_error(exc: BaseException) -> BaseException:
@@ -623,12 +638,13 @@ def _chunk(
 
     Every kernel reads its chunk through this helper, as ``with
     _chunk(vals, lo, hi) as chunk:``.  On a shared-memory view the chunk
-    is a ``memoryview`` slice of the block: the kernel iterates the
-    block in place, and the slice is released when the kernel leaves the
-    chunk (also when an element raises or ``should_stop`` fires), so no
-    export of the segment outlives the kernel.  On the call's own list
-    the chunk is the list slice, or the list itself when one chunk spans
-    all of it: the kernels never write to their chunk.
+    is a typed ``memoryview`` slice of the input arena: the kernel
+    iterates the arena in place, and the slice is released when the
+    kernel leaves the chunk (also when an element raises or
+    ``should_stop`` fires), so no export of the segment outlives the
+    kernel.  On the call's own list the chunk is the list slice, or the
+    list itself when one chunk spans all of it: the kernels never write
+    to their chunk.
     """
     if isinstance(vals, list):
         if lo == 0 and hi == len(vals):
@@ -892,27 +908,15 @@ def _load_kernel(kernel_blob: bytes) -> tuple[Kernel, dict[str, Any]]:
     return Kernel(body, policy, reduce_op, label), specs
 
 
-def _resolve_input(input_spec: tuple[str, Any]):
-    """``(vals, closer)`` for a call's input spec (inline or shm)."""
+def _resolve_input(input_spec: tuple[str, Any], arena: InputMapping):
+    """A call's input: its inline values, or a view of the session's
+    input arena through the worker's ``arena`` mapping."""
     kind, data = input_spec
     if kind == "inline":
-        return data, None
+        return data
     if kind == "shm":
-        from repro.runtime import shm as _shm
-
-        view = _shm.ShmInputView(data)
-        return view, view.close
+        return arena.view(data)
     raise RuntimeError(f"unknown input transport {kind!r}")
-
-
-def _resolve_output(out_spec: dict[str, Any] | None):
-    """``(writer, closer)`` for a call's shared output region, if any."""
-    if out_spec is None:
-        return None, None
-    from repro.runtime import shm as _shm
-
-    writer = _shm.ShmOutputWriter(out_spec)
-    return writer, writer.close
 
 
 def _serve_call(
@@ -1082,15 +1086,24 @@ def _session_worker_main(
     ``first`` is the task of the call the member joins.  Kernels are
     cached per digest, so a session re-running the same loop unpickles
     (and, for shipped functions, re-marshals) the body exactly once;
-    later calls ship only the per-call delta.  A bad task is answered
-    with ``fatal`` + ``done`` and the worker stays available — one
-    poisoned call must not cost the pool a member.
+    later calls ship only the per-call delta.  The session's input arena
+    stays mapped across calls and is re-attached only when a call names
+    another segment.  A bad task is answered with ``fatal`` + ``done``
+    and the worker stays available — one poisoned call must not cost the
+    pool a member.
+
+    An unmap that fails (a view of a segment still alive) ends the
+    worker: a warm worker must not keep the mapping of an unlinked
+    segment, unreported, for the rest of its life.  The per-call output
+    region is unmapped after every call, the input arena when it is
+    replaced and when the worker exits.
     """
     kernels: dict[str, tuple] = {}
+    arena = InputMapping()  # the session's input arena, mapped across calls
     raw = first
     while raw is not None:
         gen = -1
-        closers = []
+        out = None
         try:
             try:
                 (
@@ -1101,30 +1114,26 @@ def _session_worker_main(
                     kernels[digest] = _load_kernel(kernel_blob)
                 kernel = kernels[digest]
                 input_spec, out_spec, chunks = pickle.loads(call_blob)
-                vals, close_in = _resolve_input(input_spec)
-                if close_in is not None:
-                    closers.append(close_in)
-                out, close_out = _resolve_output(out_spec)
-                if close_out is not None:
-                    closers.append(close_out)
+                vals = _resolve_input(input_spec, arena)
+                if out_spec is not None:
+                    out = ShmOutputWriter(out_spec)
             except BaseException as exc:
                 result_q.put(pickle.dumps(("fatal", uid, repr(exc), gen)))
+                if isinstance(exc, BufferError):
+                    raise  # the replaced arena is pinned: see above
             else:
                 _serve_call(
                     uid, slot, gen, nworkers, schedule, counter, result_q,
                     stop_flag, kernel, vals, chunks, out, skip, assigned,
                 )
         finally:
-            # segments attached before a failed setup are closed too.  A
-            # close that fails (a view of a segment still alive) ends the
-            # worker: a warm worker must not keep the mapping of an
-            # unlinked segment, unreported, for the rest of its life
             try:
-                for close in closers:
-                    close()
+                if out is not None:
+                    out.close()
             finally:
                 result_q.put(pickle.dumps(("done", uid, gen)))
         raw = task_q.get()
+    arena.close()
 
 
 class PoolSession:
@@ -1139,12 +1148,14 @@ class PoolSession:
     generation, so stragglers from an earlier call are filtered instead
     of corrupting the next one.  Kernels ship once per distinct digest
     per worker; later calls send only the per-call delta (input spec +
-    chunks).
+    chunks).  The session owns the shared-memory :attr:`arena` its calls
+    place their ``Transport=shm`` input in; :meth:`shutdown` unlinks it.
 
     Every session is registered: a call takes an idle one of its width
-    and hands it back warm (:func:`run_process_chunks`), and the reaper
-    thread shuts down a session idle past :data:`IDLE_BOUND`.  A session
-    serves one caller at a time, the holder of :attr:`lock`.  Members
+    and hands it back warm (:func:`pool_session`), and the reaper thread
+    shuts down a session idle past :data:`IDLE_BOUND`.  A session serves
+    one caller at a time, the holder of :attr:`lock`, so its arena needs
+    no lock of its own.  Members
     are never terminated mid-call — retirement is a sentinel on the
     worker's own task queue, honoured when idle, so the shared result
     queue's feeder lock can never be stranded by the pool itself.
@@ -1167,6 +1178,8 @@ class PoolSession:
         self._retired: list[Any] = []
         self._next_uid = 0
         self._call: tuple | None = None
+        #: the input arena, created by the session's first shm call
+        self.arena = InputArena()
 
     @property
     def pids(self) -> list[int]:
@@ -1350,6 +1363,7 @@ class PoolSession:
             pass
         self.result_q.close()
         self.result_q.cancel_join_thread()
+        self.arena.close()
 
 
 def _wait_exit(procs: Sequence[Any], timeout: float) -> bool:
@@ -1453,10 +1467,27 @@ def _reap_idle() -> None:
             _REAPER = None
 
 
+@contextlib.contextmanager
+def pool_session(workers: int) -> Iterator[PoolSession]:
+    """Take the most recently handed back idle session of this width (a
+    new one if none is idle) and hand it back warm on exit.
+
+    A process call takes its session before it places its input: the
+    shm input arena is the session's.  Two callers at once take two
+    sessions, each with its own arena.
+    """
+    with _SESSIONS_LOCK:
+        session = _find_or_open(workers, take=True)
+    try:
+        yield session
+    finally:
+        _release_session(session)
+
+
 def get_session(workers: int) -> PoolSession:
     """The most recently handed back session of this width, opened if
     none is registered.  It is not taken: a call takes its own session
-    in :func:`run_process_chunks`."""
+    with :func:`pool_session`."""
     with _SESSIONS_LOCK:
         session = _find_or_open(workers, take=False)
         _evict_idle()
@@ -1479,11 +1510,13 @@ def _forget_sessions() -> None:
     reaper.  It owns none of the parent's members: testing or joining
     one raises, and a sentinel would retire it.  Dropping them from
     multiprocessing's table of children too keeps that table's exit
-    hook from terminating them when an ``os.fork()`` child exits."""
+    hook from terminating them when an ``os.fork()`` child exits.  Nor
+    does it own the parent's input arenas: it unmaps them unlinked."""
     global _SESSIONS_LOCK, _REAPER_WAKE, _REAPER
     for session in _SESSIONS.values():
         for p in [p for p, _q in session._members.values()] + session._retired:
             multiprocessing.process._children.discard(p)
+        session.arena.forget()
     _SESSIONS.clear()
     _SESSIONS_LOCK = threading.Lock()
     _REAPER_WAKE = threading.Condition(_SESSIONS_LOCK)
@@ -1525,6 +1558,7 @@ def run_process_chunks(
     payload: ProcessPayload,
     chunks: Sequence[tuple[int, int]],
     *,
+    session: PoolSession,
     workers: int,
     schedule: str = "dynamic",
     cancel: CancellationToken | None = None,
@@ -1536,11 +1570,9 @@ def run_process_chunks(
     checkpoint: Any = None,
     out_values: Any = None,
 ) -> ProcessRun:
-    """Execute a prepared payload on a warm :class:`PoolSession`; collect
-    chunks.
-
-    The one place a call takes its session (the most recently handed
-    back idle one of its width, or a new one) and hands it back warm.
+    """Execute a prepared payload on ``session``, the warm
+    :class:`PoolSession` the caller took (:func:`pool_session`) at the
+    call's width ``workers``; collect chunks.
 
     The collector never blocks indefinitely: it polls worker liveness, so
     a worker that dies without delivering its done-marker surfaces as
@@ -1827,8 +1859,6 @@ def run_process_chunks(
     # every worker death interrupts it.
     poll = 0.05 if hedge > 0.0 or cancel is not None else 0.25
 
-    with _SESSIONS_LOCK:
-        session = _find_or_open(nworkers, take=True)
     if metrics is not None:
         # a hit finds warm members; a miss pays their spawn
         metrics.inc(
@@ -1966,12 +1996,9 @@ def run_process_chunks(
             pass
         # the session keeps its members for the next call, except a
         # member still busy on a chunk another copy already delivered
-        try:
-            session.end_call(
-                losers=[uid for uid, k in running.items() if k in delivered]
-            )
-        finally:
-            _release_session(session)
+        session.end_call(
+            losers=[uid for uid, k in running.items() if k in delivered]
+        )
     return ProcessRun(
         chunks=delivered, fatal=fatal, recovery=recovery,
         latencies=chunk_latency, raised=raised[0] if raised else None,

@@ -69,8 +69,10 @@ from repro.runtime.backend import (
     downgrade,
     downgrade_transport,
     normalize_backend,
+    pool_session,
     run_chunk,
     run_process_chunks,
+    ship_kernel,
 )
 from repro.runtime.chaos import ChaosInjector
 from repro.runtime.checkpoint import CheckpointError, ChunkJournal
@@ -437,37 +439,42 @@ def _engine(
     with contextlib.ExitStack() as stack:
         run = None
         if backend == "process":
-            input_spec = out_spec = shm_out = None
-            if normalize_transport(transport) == "shm":
-                shm_in, why = ShmInput.build(vals)
+            kernel_blob, reason = ship_kernel(kernel, observers)
+            payload = session = shm_out = input_spec = out_spec = None
+            if kernel_blob is not None and transport == "shm":
+                # the input arena is the session's: take it, then place
+                session = stack.enter_context(pool_session(width))
+                shm_in, why = ShmInput.build(vals, session.arena)
                 if shm_in is None:
                     downgrade_transport(why, events, trace=trace, stage=label)
                 else:
-                    # stragglers retired by the pool may still hold the
-                    # mapped segments; POSIX keeps unlinked blocks alive
-                    # until the last close, so disposing is safe
                     stack.callback(shm_in.dispose)
                     input_spec = ("shm", shm_in.spec())
                     if reduce_op is None:
+                        # stragglers retired by the pool may still hold
+                        # the mapped region; POSIX keeps an unlinked
+                        # segment alive until its last unmap
                         shm_out = ShmOutput.build(n, len(plan))
                         stack.callback(shm_out.dispose)
                         out_spec = shm_out.spec()
-            payload, reason = build_process_payload(
-                body, vals, plan, policy=policy, reduce_op=reduce_op,
-                label=label, observers=observers,
-                input_spec=input_spec, out_spec=out_spec,
-            )
+            if kernel_blob is not None:
+                payload, reason = build_process_payload(
+                    kernel_blob, vals, plan,
+                    input_spec=input_spec, out_spec=out_spec,
+                )
             if payload is None:
                 backend = downgrade(
                     "process", "thread", reason, events,
                     trace=trace, stage=label,
                 )
             else:
+                if session is None:
+                    session = stack.enter_context(pool_session(width))
                 run = run_process_chunks(
-                    payload, plan, workers=width, schedule=schedule,
-                    cancel=cancel, max_restarts=restarts, hedge=hedge,
-                    completed=skip, observers=observers, label=label,
-                    checkpoint=checkpoint, out_values=shm_out,
+                    payload, plan, session=session, workers=width,
+                    schedule=schedule, cancel=cancel, max_restarts=restarts,
+                    hedge=hedge, completed=skip, observers=observers,
+                    label=label, checkpoint=checkpoint, out_values=shm_out,
                 )
         if run is None:
             run = _run_in_process(
@@ -544,11 +551,12 @@ def parallel_for(
     already-completed chunks.
 
     Data plane (process backend only): ``transport="shm"``
-    (``Transport@loop``) places flat numeric inputs in a
-    :mod:`multiprocessing.shared_memory` block and collects fixed-width
-    results from a preallocated region instead of pickling data through
-    the result queue; non-qualifying data downgrades to the pickle
-    transport with a recorded :class:`BackendEvent`.  Every process call
+    (``Transport@loop``) places flat numeric inputs in the pool
+    session's :mod:`multiprocessing.shared_memory` input arena, which it
+    keeps across calls, and collects fixed-width results from a
+    preallocated region instead of pickling data through the result
+    queue; non-qualifying data downgrades to the pickle transport with a
+    recorded :class:`BackendEvent`.  Every process call
     runs on a warm :class:`~repro.runtime.backend.PoolSession` that keeps
     its workers alive across calls, until they sit idle past
     :data:`~repro.runtime.backend.IDLE_BOUND`, and ships each distinct
@@ -642,7 +650,7 @@ def parallel_reduce(
 
     ``transport`` and the retired ``reuse`` mirror :func:`parallel_for`
     too, with one asymmetry: a reduction's shared-memory road covers the
-    *input* block only.  Partials are single folded values shipped
+    *input* arena only.  Partials are single folded values shipped
     through the control queue regardless — there is exactly one per
     chunk, so a fixed-width output region would save nothing.
     """

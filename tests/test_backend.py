@@ -25,14 +25,17 @@ from repro.runtime.backend import (
     BACKENDS,
     BackendEvent,
     BackendFallbackWarning,
+    Kernel,
     SharedFlag,
     ShipError,
     TuningError,
     build_process_payload,
     get_session,
     mp_context,
+    pool_session,
     run_process_chunks,
     ship_callable,
+    ship_kernel,
     shutdown_sessions,
 )
 from repro.runtime.chaos import ChaosError, ChaosInjector
@@ -433,6 +436,41 @@ class TestProcessFallback:
         assert any(
             issubclass(w.category, BackendFallbackWarning) for w in caught
         )
+
+    def test_unpicklable_body_places_no_input(self, monkeypatch):
+        # the body is found unshippable before a session is taken or
+        # any input placed: the shm road creates no segment
+        from multiprocessing import shared_memory
+
+        lock = threading.Lock()
+
+        def body(x):
+            with lock:
+                return x * 2
+
+        created = []
+        make = shared_memory.SharedMemory
+
+        def counting(*args, **kwargs):
+            created.append(kwargs)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", counting)
+        shutdown_sessions()
+        values = [float(x) for x in range(12)]
+        events = []
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            out = parallel_for(
+                values, body, workers=3, chunk_size=2, backend="process",
+                transport="shm", events=events,
+            )
+        assert out == [x * 2 for x in values]
+        assert [
+            (e.requested, e.actual) for e in events
+        ] == [("process", "thread")]
+        assert created == []
+        assert not backend_mod._SESSIONS
 
     def test_unpicklable_values_fall_back(self):
         items = [threading.Lock() for _ in range(4)]
@@ -876,10 +914,15 @@ class TestPoolLifetime:
             body = functools.partial(_straggle_once, str(tmp_path / "slow"))
             vals = list(range(12))
             chunks = [(i, i + 1) for i in vals]
-            payload, why = build_process_payload(body, vals, chunks)
+            kernel_blob, why = ship_kernel(Kernel(body, None, None, "loop"))
+            assert why is None
+            payload, why = build_process_payload(kernel_blob, vals, chunks)
             assert why is None
             started = time.monotonic()
-            run = run_process_chunks(payload, chunks, workers=3, hedge=0.95)
+            with pool_session(3) as session:
+                run = run_process_chunks(
+                    payload, chunks, session=session, workers=3, hedge=0.95,
+                )
             # the hedge won long before the 6 s sleeper woke
             assert time.monotonic() - started < 5.0
             assert "hedge" in [e.kind for e in run.recovery]

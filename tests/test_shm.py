@@ -1,14 +1,19 @@
 """The zero-copy data plane: shm transport parity with pickle, strict
 qualification with recorded downgrades, warm pool reuse across calls,
-and respawn-then-reuse after a chaos worker kill under ``Transport=shm``.
+the session's input arena and each worker's mapping of it, and
+respawn-then-reuse after a chaos worker kill under ``Transport=shm``.
 """
 
+import contextlib
 import functools
 import operator
 import os
 import pathlib
+import pickle
+import queue
 import random
 import signal
+import threading
 import time
 
 import pytest
@@ -24,18 +29,25 @@ from repro.runtime import (
 )
 from repro.runtime.backend import (
     _SESSIONS,
+    Kernel,
+    SharedFlag,
     _chunk,
     _run_map_chunk,
     _run_reduce_chunk,
+    _session_worker_main,
     get_session,
+    mp_context,
     ship_blob,
+    ship_kernel,
 )
+from repro.runtime import shm as shm_mod
 from repro.runtime.shm import (
+    InputArena,
+    InputMapping,
     ShmInput,
-    ShmInputView,
     ShmOutput,
     ShmOutputWriter,
-    _typed,
+    _pack_into,
     normalize_transport,
 )
 from repro.runtime.faults import CancelledError
@@ -93,10 +105,31 @@ def _no_leaked_sessions():
 # qualification and the block primitives
 # ---------------------------------------------------------------------------
 
+def qualify(values):
+    """``_pack_into`` over a scratch buffer: ``(typecode, reason)``."""
+    return _pack_into(values, bytearray)
+
+
+@contextlib.contextmanager
+def placed(values):
+    """``values`` placed in a fresh arena, read through a worker's
+    mapping: yields ``(mapping, view)``, then unmaps and unlinks."""
+    arena, mapping = InputArena(), InputMapping()
+    block, reason = ShmInput.build(values, arena)
+    assert reason is None
+    try:
+        yield mapping, mapping.view(block.spec())
+    finally:
+        try:
+            mapping.close()
+        finally:
+            arena.close()
+
+
 class TestQualification:
     def test_exact_int_and_float_qualify(self):
-        assert _typed([1, 2, 3])[0] == "q"
-        assert _typed([1.5, 2.5])[0] == "d"
+        assert qualify([1, 2, 3])[0] == "q"
+        assert qualify([1.5, 2.5])[0] == "d"
 
     @pytest.mark.parametrize(
         "values, why",
@@ -109,21 +142,21 @@ class TestQualification:
             ([2**63, 1], "64-bit"),
             ([1.0, FloatSubclass(2.0)], "mixed"),
             ([1, True], "mixed"),
+            # refusals past the first step of the one-pass gate
+            ([7] * 5000 + [True] + [7] * 10, "mixed"),
+            ([0.5] * 4097 + [FloatSubclass(2.0)], "mixed"),
+            (list(range(9000)) + [2**63], "64-bit"),
         ],
     )
     def test_rejections_state_why(self, values, why):
-        typecode, _packed, reason = _typed(values)
+        typecode, reason = qualify(values)
         assert typecode is None
         assert why in reason
 
     def test_input_round_trip(self):
         for values in ([5, -7, 2**62], [0.25, -1.5, 3.75]):
-            block, reason = ShmInput.build(values)
-            assert reason is None
-            view = ShmInputView(block.spec())
-            assert [view[i] for i in range(len(view))] == values
-            view.close()
-            block.dispose()
+            with placed(values) as (_mapping, view):
+                assert [view[i] for i in range(len(view))] == values
 
     def test_output_round_trip_and_tag_guard(self):
         out = ShmOutput.build(6, 2)
@@ -381,6 +414,19 @@ def cancel_at(x, poison):
     return x * x
 
 
+#: views of a chunk a :class:`LeakyPolicy` kept past its kernel
+LEAKED: list[memoryview] = []
+
+
+class LeakyPolicy(FaultPolicy):
+    """A policy whose chunk loop keeps a view of the chunk it read: the
+    runtime bug a worker's failing unmap must surface."""
+
+    def execute_chunk(self, fn, chunk, *args, **kwargs):
+        LEAKED.append(memoryview(chunk))
+        return super().execute_chunk(fn, chunk, *args, **kwargs)
+
+
 #: how a kernel leaves its chunk: ``(kernel, body, policy, traced,
 #: stop after)`` — every road out of a kernel must release its read of
 #: the block
@@ -408,9 +454,7 @@ class TestViewLifetime:
         [0.25, -1.5, 3.75, 1e300, -7.0, 2.0**62],
     ], ids=["q", "d"])
     def test_chunk_reads_yield_the_lists_values(self, values):
-        block, _reason = ShmInput.build(values)
-        view = ShmInputView(block.spec())
-        try:
+        with placed(values) as (_mapping, view):
             for lo, hi in ((0, len(values)), (1, 4), (3, len(values))):
                 with _chunk(view, lo, hi) as part:
                     got = list(part)
@@ -430,17 +474,27 @@ class TestViewLifetime:
                         0, (lo, hi), boxed, vals, operator.add,
                     )
                     assert folded == [values[lo:hi]]
-        finally:
-            view.close()
-            block.dispose()
+
+    @staticmethod
+    def assert_unpinned(mapping, view):
+        """The worker keeps the arena mapped after a kernel, and the
+        kernel released every typed view of it: the mapping can unmap.
+        ``close()`` raises ``BufferError`` while any export is alive."""
+        seg = view._seg
+        assert seg._mmap is not None
+        try:
+            mapping.close()
+            exported = False
+        except BufferError:
+            exported = True
+        assert not exported, "an export of the segment outlived the kernel"
+        assert seg._mmap is None
 
     @pytest.mark.parametrize("exit_", list(KERNEL_EXITS))
     def test_no_export_of_the_segment_survives_the_kernel(self, exit_):
         kernel, body, policy, traced, stop = KERNEL_EXITS[exit_]
         values = [float(v) for v in range(32)]
-        block, _reason = ShmInput.build(values)
-        view = ShmInputView(block.spec())
-        try:
+        with placed(values) as (mapping, view):
             if kernel == "fold":
                 _v, _r, _c, failed = _run_reduce_chunk(
                     0, (16, 32), body, view, operator.add,
@@ -458,39 +512,91 @@ class TestViewLifetime:
                 else:
                     assert failed == exit_.endswith("fails")
                     assert aborted == exit_.endswith("stopped")
-            # close() raises BufferError while any export is alive
-            try:
-                view.close()
-                exported = False
-            except BufferError:
-                exported = True
-            assert not exported, "an export of the segment outlived the kernel"
-            assert view._seg._mmap is None
-        finally:
-            block.dispose()
+            self.assert_unpinned(mapping, view)
 
     def test_kernel_error_does_not_pin_the_segment(self):
         # a kernel error's traceback holds the failed kernel's frame; if
-        # that frame held a buffer export, close() could not unmap
+        # that frame held a buffer export, the mapping could not unmap
         values = [float(v) for v in range(32)]
-        block, _reason = ShmInput.build(values)
-        view = ShmInputView(block.spec())
         body = functools.partial(fail_at, poison=21.0)
-        _v, reduce_records, _c, failed = _run_reduce_chunk(
-            0, (16, 32), body, view, operator.add,
-        )
-        assert failed and reduce_records[0][0] == 16
-        _v, map_records, _c, failed, _aborted = _run_map_chunk(
-            0, (16, 32), body, view, None, lambda: False,
-        )
-        assert failed and map_records[0][0] == 21
-        held = [r[1] for r in reduce_records + map_records]
-        assert all(e.__traceback__ is not None for e in held)
+        with placed(values) as (mapping, view):
+            _v, reduce_records, _c, failed = _run_reduce_chunk(
+                0, (16, 32), body, view, operator.add,
+            )
+            assert failed and reduce_records[0][0] == 16
+            _v, map_records, _c, failed, _aborted = _run_map_chunk(
+                0, (16, 32), body, view, None, lambda: False,
+            )
+            assert failed and map_records[0][0] == 21
+            held = [r[1] for r in reduce_records + map_records]
+            assert all(e.__traceback__ is not None for e in held)
+            self.assert_unpinned(mapping, view)
+
+    def test_the_mapping_is_kept_until_the_arena_changes(self):
+        arena, mapping = InputArena(), InputMapping()
         try:
-            view.close()
-            assert view._seg._mmap is None
+            first, _r = ShmInput.build([1.0] * 10, arena)
+            seg = mapping.view(first.spec())._seg
+            # a call of the same size repacks the same segment
+            again, _r = ShmInput.build([2.0] * 10, arena)
+            assert again.spec()["name"] == first.spec()["name"]
+            view = mapping.view(again.spec())
+            assert view._seg is seg and view[9] == 2.0
+            # a larger input gets a new segment: the worker maps it and
+            # unmaps the old one
+            grown, _r = ShmInput.build([3.0] * 20, arena)
+            assert grown.spec()["name"] != first.spec()["name"]
+            view = mapping.view(grown.spec())
+            assert view._seg is not seg and seg._mmap is None
+            assert view[19] == 3.0
         finally:
-            block.dispose()
+            mapping.close()
+            arena.close()
+
+    def test_a_pinned_arena_ends_the_worker(self):
+        # a worker whose kernel left a view of the arena alive cannot
+        # unmap it when the next call names a new arena: it reports the
+        # call fatal, marks it done, and ends instead of keeping the old
+        # segment mapped (run in-process, on the worker's own loop)
+        values = [float(v) for v in range(8)]
+        arenas = [InputArena(), InputArena()]
+        blob, _reason = ship_kernel(Kernel(square, LeakyPolicy(), None, "l"))
+
+        def task(gen, arena):
+            block, _reason = ShmInput.build(values, arena)
+            call = pickle.dumps((("shm", block.spec()), None, [(0, 8)]))
+            return pickle.dumps(
+                (gen, "k", blob, call, "dynamic", 1, 0, (), None)
+            )
+
+        task_q, result_q = queue.Queue(), queue.Queue()
+        task_q.put(task(2, arenas[1]))
+        task_q.put(None)  # the sentinel: a worker that went on would exit
+        counter = mp_context().Value("Q", 1 << 32)  # generation 1, chunk 0
+        try:
+            # ``raised`` keeps the worker's frame, and with it the pinned
+            # mapping, alive until the leaked view is released below
+            with pytest.raises(BufferError) as raised:
+                _session_worker_main(
+                    0, task_q, result_q, counter, SharedFlag(),
+                    task(1, arenas[0]),
+                )
+            got = []
+            while not result_q.empty():
+                message = pickle.loads(result_q.get())
+                got.append((message[0], message[-1]))
+            assert got == [
+                ("claim", 1), ("chunk", 1), ("done", 1),
+                ("fatal", 2), ("done", 2),
+            ]
+            assert task_q.get_nowait() is None  # it ended at once
+        finally:
+            for view in LEAKED:
+                view.release()
+            LEAKED.clear()
+            for arena in arenas:
+                arena.close()
+        del raised
 
     def test_failing_calls_keep_the_warm_pool_whole(self):
         # a warm worker whose close failed would die after the call (or
@@ -570,6 +676,181 @@ class TestElementIdentity:
             )
         }
         assert len({total.hex() for total in totals.values()}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the session's input arena: one segment per session, reused across calls
+# ---------------------------------------------------------------------------
+
+def psm_names():
+    return {p.name for p in pathlib.Path("/dev/shm").glob("psm_*")}
+
+
+def the_session():
+    (session,) = _SESSIONS.values()
+    return session
+
+
+def slow_or_fail(x):
+    """Raise on a negative element; take a while on the others."""
+    if x < 0:
+        raise ValueError(f"negative {x}")
+    time.sleep(0.0002)
+    return x
+
+
+def count_creates(monkeypatch):
+    """The sizes of every ``SharedMemory(create=True)`` from now on."""
+    created = []
+    make = shm_mod.shared_memory.SharedMemory
+
+    def counting(*args, **kwargs):
+        if kwargs.get("create"):
+            created.append(kwargs.get("size"))
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(shm_mod.shared_memory, "SharedMemory", counting)
+    return created
+
+
+def mapped_by_workers(session, name, timeout=10.0):
+    """Whether every member of ``session`` maps segment ``name`` and no
+    other input arena, within ``timeout``: a member reads the call's
+    task after the call may already have returned."""
+    deadline = time.monotonic() + timeout
+    while True:
+        maps = [
+            pathlib.Path(f"/proc/{pid}/maps").read_text()
+            for pid in session.pids
+        ]
+        if all(
+            f"/{name}" in m and m.count("/psm_") == 1 for m in maps
+        ):
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+
+
+@pytest.mark.skipif(
+    not pathlib.Path("/dev/shm").is_dir(), reason="needs POSIX /dev/shm"
+)
+class TestInputArena:
+    OPTS = dict(workers=2, chunk_size=500, backend="process", transport="shm")
+
+    def reduce(self, values, body=square, **kwargs):
+        return parallel_reduce(
+            values, body, operator.add, 0, **self.OPTS, **kwargs
+        )
+
+    def test_repeated_calls_place_into_one_segment(self, monkeypatch):
+        values = [float(v % 17) for v in range(3000)]
+        created = count_creates(monkeypatch)
+        names = []
+        for _ in range(5):
+            assert self.reduce(values) == sum(v * v for v in values)
+            names.append(the_session().arena.name)
+        assert created == [3000 * 8]
+        assert len(set(names)) == 1 and names[0] in psm_names()
+        # each worker keeps the arena mapped between calls
+        if pathlib.Path("/proc/self/maps").exists():
+            assert mapped_by_workers(the_session(), names[0])
+
+    def test_larger_input_replaces_the_arena(self):
+        small = [float(v % 5) for v in range(1000)]
+        large = [float(v % 7) for v in range(3000)]
+        assert self.reduce(small) == sum(v * v for v in small)
+        old = the_session().arena.name
+        assert self.reduce(large) == sum(v * v for v in large)
+        new = the_session().arena.name
+        assert new != old
+        assert old not in psm_names() and new in psm_names()
+        # workers re-attach by the new name and unmap the old segment
+        if pathlib.Path("/proc/self/maps").exists():
+            assert mapped_by_workers(the_session(), new)
+        # a smaller input fits the larger arena
+        assert self.reduce(small) == sum(v * v for v in small)
+        assert the_session().arena.name == new
+
+    def test_shutdown_unlinks_the_arena(self):
+        before = psm_names()
+        self.reduce([1.5] * 2000)
+        assert the_session().arena.name in psm_names()
+        shutdown_sessions()
+        assert not psm_names() - before
+
+    def test_fork_child_leaves_the_parents_arena(self):
+        values = [float(v % 3) for v in range(2000)]
+        self.reduce(values)
+        name = the_session().arena.name
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            try:
+                shutdown_sessions()  # what the child's exit hook runs
+            finally:
+                os._exit(0)
+        _pid, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert name in psm_names()
+        assert self.reduce(values) == sum(v * v for v in values)
+        assert the_session().arena.name == name
+
+    def test_straggler_reading_a_repacked_arena_is_harmless(self):
+        # chunk 0 fails at once and ends the call while the other worker
+        # is still folding; the next call repacks the same segment under
+        # it, and its stale partial carries the old generation
+        n = 4000
+        with pytest.raises(ValueError, match="negative"):
+            self.reduce([-1.0] + [1.0] * (n - 1), body=slow_or_fail)
+        values = [float(v % 9) for v in range(n)]
+        assert self.reduce(values, body=slow_or_fail) == sum(values)
+
+    def test_hedged_reduce_is_exact(self):
+        values = [float(v % 11) for v in range(4000)]
+        assert self.reduce(values, body=slow_or_fail, hedge=0.5) == sum(
+            values
+        )
+
+    def test_concurrent_callers_get_their_own_arenas(self):
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def call(k):
+            values = [float(k + v % 5) for v in range(4000)]
+            barrier.wait(timeout=30)
+            results[k] = (self.reduce(values, body=slow_or_fail), sum(values))
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert sorted(results) == [1, 2]
+        assert all(got == want for got, want in results.values())
+        assert len({s.arena.name for s in _SESSIONS.values()}) == 2
+
+    @pytest.mark.parametrize("refused, why", [
+        ([7] * 5000 + [True] + [7] * 100, "mixed"),
+        ([0.5] * 4097 + [FloatSubclass(0.5)] + [0.5] * 100, "mixed"),
+        ([3] * 6000 + [2**63], "64-bit"),
+    ], ids=["bool-at-5000", "float-subclass-at-4097", "int64-last"])
+    def test_refusal_deep_in_the_input_downgrades_cleanly(self, refused, why):
+        # the warm session's arena already fits the input
+        self.reduce([float(v % 2) for v in range(len(refused))])
+        before = psm_names()
+        events = []
+        with pytest.warns(BackendFallbackWarning, match="transport"):
+            got = self.reduce(refused, events=events)
+        assert got == sum(v * v for v in refused)
+        assert [(e.requested, e.actual) for e in events] == [
+            ("shm", "pickle")
+        ]
+        assert why in events[0].reason
+        assert psm_names() == before
+        # the refusal may have packed part of it: the next call repacks
+        values = [float(v % 13) for v in range(len(refused))]
+        assert self.reduce(values) == sum(v * v for v in values)
 
 
 # ---------------------------------------------------------------------------
