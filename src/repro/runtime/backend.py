@@ -88,10 +88,20 @@ from multiprocessing import connection as _mpconn
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from repro.runtime.chaos import ChaosInjector
-from repro.runtime.faults import CancellationToken, FaultPolicy
+from repro.runtime.faults import (
+    ELEMENT_COUNTERS,
+    NO_POLICY,
+    CancellationToken,
+    FaultPolicy,
+)
 from repro.runtime.metrics import MetricsRegistry, StageSeries
 from repro.runtime.profiler import SamplingProfiler
-from repro.runtime.shm import InputArena, InputMapping, ShmOutputWriter
+from repro.runtime.shm import (
+    InputArena,
+    InputMapping,
+    ShmOutput,
+    ShmOutputWriter,
+)
 from repro.runtime.trace import TraceCollector
 
 #: the three execution substrates, in increasing setup-cost order
@@ -667,66 +677,16 @@ def _run_map_chunk(
 ) -> tuple[list[Any], list, dict[str, int], bool, bool]:
     """(values, records, counters, failed, aborted) for one map chunk.
 
-    One loop per feature set, so the plain loop pays nothing per element
-    for a policy or a trace; under a policy the loop is
-    :meth:`FaultPolicy.execute_chunk`, one call per chunk.  Each loop
-    iterates the chunk read through :func:`_chunk`, not a Python-level
-    index per element; an element's run-wide index is ``lo`` plus its
-    offset.  The element counters are derived once per chunk from the
-    values and the records, not counted per element.
+    One loop for every feature set: :meth:`FaultPolicy.execute_chunk`,
+    under :data:`~repro.runtime.faults.NO_POLICY` when the run has no
+    policy, over the chunk read through :func:`_chunk` (an element's
+    run-wide index is ``lo`` plus its offset).
     """
     lo, hi = bounds
-    values: list[Any] = []
-    records: list = []
-    append = values.append
-    failed = aborted = False
-    retried = 0
     with _chunk(vals, lo, hi) as chunk:
-        if policy is not None:
-            values, records, retried, failed, aborted = policy.execute_chunk(
-                fn, chunk, lo, should_stop, cancel, trace, stage, metrics
-            )
-        elif trace is None:
-            for v in chunk:
-                if should_stop():
-                    aborted = True
-                    break
-                try:
-                    append(fn(v))
-                except BaseException as exc:
-                    # every element before this one appended its value
-                    records.append((lo + len(values), exc, 1, "failed"))
-                    failed = True
-                    break
-        else:
-            record = trace.record
-            for i, v in enumerate(chunk, lo):
-                if should_stop():
-                    aborted = True
-                    break
-                started = time.monotonic()
-                try:
-                    append(fn(v))
-                except BaseException as exc:
-                    record("execute", stage, i, started, None, 1, repr(exc))
-                    records.append((i, exc, 1, "failed"))
-                    failed = True
-                    break
-                record("execute", stage, i, started, None, 1)
-    skipped = fallbacks = 0
-    for _seq, _error, _attempts, action in records:
-        if action == "skipped":
-            skipped += 1
-        elif action == "fallback":
-            fallbacks += 1
-    counters = {
-        "delivered": len(values) - skipped,
-        "retried": retried,
-        "skipped": skipped,
-        "fallbacks": fallbacks,
-        "failed": int(failed),
-    }
-    return values, records, counters, failed, aborted
+        return (policy or NO_POLICY).execute_chunk(
+            fn, chunk, lo, should_stop, cancel, trace, stage, metrics
+        )
 
 
 def _run_reduce_chunk(
@@ -749,10 +709,7 @@ def _run_reduce_chunk(
     tight loop.
     """
     lo, hi = bounds
-    counters = {
-        "delivered": 0, "retried": 0, "skipped": 0,
-        "fallbacks": 0, "failed": 0,
-    }
+    counters = dict.fromkeys(ELEMENT_COUNTERS, 0)
     started = time.monotonic()
     try:
         with _chunk(vals, lo, hi) as chunk:
@@ -1026,8 +983,8 @@ def _serve_call(
                 kernel, k, chunks[k], vals, should_stop, observers=observers,
             )
         except Exception as exc:
-            # what the kernel lets escape (a body's CancelledError under a
-            # policy) ends the call, as in-process; the member stays
+            # an error the kernel itself lets escape (never a body's: the
+            # policy decides those) ends the call; the member stays
             result_q.put(pickle.dumps(
                 ("raised", uid, k, _shippable_error(exc), gen)
             ))
@@ -1180,6 +1137,9 @@ class PoolSession:
         self._call: tuple | None = None
         #: the input arena, created by the session's first shm call
         self.arena = InputArena()
+        #: the result region of its latest shm map call, which a member
+        #: forked during that call unmaps (:func:`_forget_sessions`)
+        self.output: ShmOutput | None = None
 
     @property
     def pids(self) -> list[int]:
@@ -1511,12 +1471,15 @@ def _forget_sessions() -> None:
     one raises, and a sentinel would retire it.  Dropping them from
     multiprocessing's table of children too keeps that table's exit
     hook from terminating them when an ``os.fork()`` child exits.  Nor
-    does it own the parent's input arenas: it unmaps them unlinked."""
+    does it own the parent's input arenas or a call's result region: it
+    unmaps them unlinked."""
     global _SESSIONS_LOCK, _REAPER_WAKE, _REAPER
     for session in _SESSIONS.values():
         for p in [p for p, _q in session._members.values()] + session._retired:
             multiprocessing.process._children.discard(p)
         session.arena.forget()
+        if session.output is not None:
+            session.output.forget()
     _SESSIONS.clear()
     _SESSIONS_LOCK = threading.Lock()
     _REAPER_WAKE = threading.Condition(_SESSIONS_LOCK)

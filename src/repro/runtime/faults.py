@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 #: the three supported poison-element dispositions
@@ -107,6 +107,19 @@ class CancellationToken:
         return self._event.wait(timeout)
 
 
+#: the element counters of every loop, per chunk or per stage
+ELEMENT_COUNTERS = ("delivered", "retried", "skipped", "fallbacks", "failed")
+
+#: the one outcome -> counter table: the counters an element's final
+#: action adds one to (its extra attempts add to ``retried``)
+OUTCOME_COUNTERS = {
+    "delivered": ("delivered",),
+    "fallback": ("delivered", "fallbacks"),
+    "skipped": ("skipped",),
+    "failed": ("failed",),
+}
+
+
 @dataclass(slots=True)
 class Outcome:
     """What became of one element under a :class:`FaultPolicy`."""
@@ -137,10 +150,12 @@ class FaultPolicy:
 
     Every loop applies the policy with the same per-element semantics:
     :meth:`execute` runs one element, :meth:`execute_chunk` a whole map
-    chunk (the chunk kernel calls it once per chunk), and a pipeline
-    stage runs each first attempt inline.  All three hand a failed first
-    attempt to :meth:`_recover`, so an element that succeeds on its
-    first attempt costs no call and no :class:`Outcome` in the last two.
+    chunk (every DOALL element runs there, under :data:`NO_POLICY` when
+    a run has none), and a pipeline stage runs each first attempt
+    inline.  All three hand a failed first attempt to :meth:`_recover`,
+    the one place that decides what becomes of a failed element, so an
+    element that succeeds on its first attempt costs no call and no
+    :class:`Outcome` in the last two.
     """
 
     retries: int = 0
@@ -184,7 +199,8 @@ class FaultPolicy:
         """Run ``fn(value)`` under this policy; never raises user errors.
 
         Cancellation is the one exception that propagates: a fired token
-        aborts retries (and their backoff sleeps) immediately.
+        aborts retries (and their backoff sleeps) immediately.  A body's
+        own ``CancelledError`` is a failed element (see :meth:`_recover`).
 
         ``trace`` is duck-typed (anything with a ``TraceCollector``-shaped
         ``record`` and ``add``) so this module stays dependency-free:
@@ -215,8 +231,6 @@ class FaultPolicy:
             # nothing needs the clock: the cheapest first attempt
             try:
                 return Outcome("delivered", fn(value), 1, None)
-            except CancelledError:
-                raise
             except BaseException as exc:
                 return self._recover(
                     fn, value, exc, 0.0, cancel, trace, stage, seq, metrics
@@ -227,8 +241,6 @@ class FaultPolicy:
             ended = time.monotonic()
             if deadline and ended - started > deadline:
                 raise _missed(ended - started, deadline)
-        except CancelledError:
-            raise
         except BaseException as exc:
             return self._recover(
                 fn, value, exc, started, cancel, trace, stage, seq, metrics
@@ -249,12 +261,20 @@ class FaultPolicy:
         seq: int,
         metrics: Any,
     ) -> Outcome:
-        """Everything after a failed first attempt: its span and
-        counters, then backoff and retries while the budget lasts, then
-        the ``on_error`` disposition."""
+        """Everything after a failed first attempt, the one place that
+        decides what becomes of a failed element: each failed attempt's
+        span and counters, then backoff and retries while the budget
+        lasts, then the ``on_error`` disposition.  A ``CancelledError``
+        raised while ``cancel`` has fired is the run's cancellation and
+        propagates, with no span or record.  Any other is the body's
+        own: its element fails at once, never retried, whatever
+        ``on_error`` says."""
         schedule: list[float] | None = None
         attempts = 1
         while True:
+            own = isinstance(exc, CancelledError)
+            if own and cancel is not None and cancel.cancelled:
+                raise exc
             timed_out = isinstance(exc, ItemTimeoutError)
             if metrics is not None:
                 if timed_out:
@@ -269,7 +289,7 @@ class FaultPolicy:
                 trace.record(
                     kind, stage, seq, started, None, attempts, repr(exc)
                 )
-            if attempts > self.retries:
+            if own or attempts > self.retries:
                 break
             if schedule is None:
                 schedule = self.delays()
@@ -296,8 +316,6 @@ class FaultPolicy:
                 elapsed = time.monotonic() - started
                 if self.item_timeout and elapsed > self.item_timeout:
                     raise _missed(elapsed, self.item_timeout)
-            except CancelledError:
-                raise
             except BaseException as retry_exc:
                 exc = retry_exc
                 continue
@@ -306,11 +324,11 @@ class FaultPolicy:
             if trace is not None:
                 trace.record("retry", stage, seq, started, None, attempts)
             return Outcome("delivered", result, attempts, None)
+        if own or self.on_error == "fail_fast":
+            return Outcome("failed", None, attempts, exc)
         if self.on_error == "skip":
             return Outcome("skipped", None, attempts, exc)
-        if self.on_error == "fallback":
-            return Outcome("fallback", self.fallback, attempts, exc)
-        return Outcome("failed", None, attempts, exc)
+        return Outcome("fallback", self.fallback, attempts, exc)
 
     def execute_chunk(
         self,
@@ -322,10 +340,11 @@ class FaultPolicy:
         trace: Any = None,
         stage: str = "",
         metrics: Any = None,
-    ) -> tuple[list[Any], list[tuple], int, bool, bool]:
-        """:meth:`execute` over a map chunk, looped once per chunk.
+    ) -> tuple[list[Any], list[tuple], dict[str, int], bool, bool]:
+        """:meth:`execute` over a map chunk, looped once per chunk: the
+        element loop of every DOALL run, policy or not.
 
-        Returns ``(values, records, retried, failed, aborted)``.  The
+        Returns ``(values, records, counters, failed, aborted)``.  The
         ``i``-th element of ``chunk`` has run-wide index ``lo + i``.
         ``should_stop`` is read before each element and ends the chunk
         ``aborted``; a fired ``cancel`` raises, as in :meth:`execute`.
@@ -333,10 +352,11 @@ class FaultPolicy:
         a trace or ``item_timeout`` needs it, and records the same
         ``execute`` span.  A failed first attempt hands over to
         :meth:`_recover`, so only a recovered element builds an
-        :class:`Outcome`: its extra attempts add to ``retried``, an
-        error left standing becomes a ``(seq, error, attempts, action)``
-        record, a skipped element keeps its slot as ``None`` (a map has
-        no slot to drop), and a failed one ends the chunk ``failed``.
+        :class:`Outcome`: an error left standing becomes a ``(seq,
+        error, attempts, action)`` record, a skipped element keeps its
+        slot as ``None`` (a map has no slot to drop), and a failed one
+        ends the chunk ``failed``.  ``counters`` are counted once per
+        chunk, through :data:`OUTCOME_COUNTERS`.
         """
         values: list[Any] = []
         append = values.append
@@ -354,8 +374,6 @@ class FaultPolicy:
                 try:
                     append(fn(value))
                     continue
-                except CancelledError:
-                    raise
                 except BaseException as exc:
                     outcome = self._recover(
                         fn, value, exc, 0.0, cancel, trace, stage, seq,
@@ -380,8 +398,6 @@ class FaultPolicy:
                     ended = clock()
                     if deadline and ended - started > deadline:
                         raise _missed(ended - started, deadline)
-                except CancelledError:
-                    raise
                 except BaseException as exc:
                     outcome = self._recover(
                         fn, value, exc, started, cancel, trace, stage, seq,
@@ -400,9 +416,19 @@ class FaultPolicy:
             for seq, o in recovered
             if o.error is not None
         ]
-        retried = sum(o.attempts - 1 for _seq, o in recovered)
         failed = bool(recovered) and recovered[-1][1].action == "failed"
-        return values, records, retried, failed, aborted
+        counters = dict.fromkeys(ELEMENT_COUNTERS, 0)
+        # every value no outcome accounts for was a first-attempt delivery
+        counters["delivered"] = len(values) - len(recovered) + failed
+        for _seq, o in recovered:
+            counters["retried"] += o.retried
+            for key in OUTCOME_COUNTERS[o.action]:
+                counters[key] += 1
+        return values, records, counters, failed, aborted
+
+
+#: the policy of a run that has none: fail fast, no retries, no deadline
+NO_POLICY = FaultPolicy()
 
 
 def _missed(elapsed: float, deadline: float) -> ItemTimeoutError:
@@ -427,17 +453,15 @@ class ErrorRecord:
 
 
 class StageCounters:
-    """Thread-safe per-stage delivery accounting."""
+    """Thread-safe per-stage delivery accounting: one attribute per
+    :data:`ELEMENT_COUNTERS` name."""
 
-    __slots__ = ("_lock", "delivered", "retried", "skipped", "fallbacks", "failed")
+    __slots__ = ("_lock", *ELEMENT_COUNTERS)
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.delivered = 0
-        self.retried = 0
-        self.skipped = 0
-        self.fallbacks = 0
-        self.failed = 0
+        for key in ELEMENT_COUNTERS:
+            setattr(self, key, 0)
 
     def add_delivered(self, n: int) -> None:
         """Count ``n`` elements delivered at their first attempt at once."""
@@ -445,25 +469,12 @@ class StageCounters:
             self.delivered += n
 
     def account(self, outcome: Outcome) -> None:
-        """Count one element's outcome."""
+        """Count one element's outcome through :data:`OUTCOME_COUNTERS`."""
         with self._lock:
             self.retried += outcome.retried
-            if outcome.action == "delivered":
-                self.delivered += 1
-            elif outcome.action == "skipped":
-                self.skipped += 1
-            elif outcome.action == "fallback":
-                self.fallbacks += 1
-                self.delivered += 1
-            else:
-                self.failed += 1
+            for key in OUTCOME_COUNTERS[outcome.action]:
+                setattr(self, key, getattr(self, key) + 1)
 
     def as_dict(self) -> dict[str, int]:
         with self._lock:
-            return {
-                "delivered": self.delivered,
-                "retried": self.retried,
-                "skipped": self.skipped,
-                "fallbacks": self.fallbacks,
-                "failed": self.failed,
-            }
+            return {key: getattr(self, key) for key in ELEMENT_COUNTERS}

@@ -49,6 +49,7 @@ import threading
 import time
 from typing import Any, ContextManager, Iterable
 
+from repro.runtime.faults import OUTCOME_COUNTERS
 from repro.runtime.observe import Channel
 
 #: the JSON snapshot schema tag
@@ -515,12 +516,7 @@ def parse_openmetrics(text: str) -> dict[str, float]:
 # shared accounting helpers (backend parity)
 # ---------------------------------------------------------------------------
 
-#: the element-outcome counter names shared by every backend road
-OUTCOME_COUNTERS = (
-    "elements_delivered", "element_retries", "elements_skipped",
-    "elements_fallback", "elements_failed",
-)
-
+#: each element counter's metric, on every road
 _COUNTER_TO_METRIC = {
     "delivered": "elements_delivered",
     "retried": "element_retries",
@@ -536,23 +532,13 @@ def count_outcome(
     action: str,
     retried: int = 0,
 ) -> None:
-    """Account one element outcome (the pipeline stage road).
-
-    Mirrors the per-chunk ``counters`` dict of
-    :func:`repro.runtime.backend._run_map_chunk` exactly, so a stage and
-    a loop name their element outcomes alike.
-    """
+    """Account one element outcome (the pipeline stage road) through
+    :data:`repro.runtime.faults.OUTCOME_COUNTERS`, the table that counts
+    a map chunk's ``counters`` too: a stage and a loop count alike."""
     if retried:
         registry.inc("element_retries", retried, stage=stage)
-    if action == "failed":
-        registry.inc("elements_failed", stage=stage)
-    elif action == "skipped":
-        registry.inc("elements_skipped", stage=stage)
-    elif action == "fallback":
-        registry.inc("elements_fallback", stage=stage)
-        registry.inc("elements_delivered", stage=stage)
-    else:
-        registry.inc("elements_delivered", stage=stage)
+    for key in OUTCOME_COUNTERS[action]:
+        registry.inc(_COUNTER_TO_METRIC[key], stage=stage)
 
 
 class StageSeries:

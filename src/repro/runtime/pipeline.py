@@ -47,6 +47,7 @@ from typing import Any, Iterable
 from repro.runtime.backend import BackendEvent, normalize_backend
 from repro.runtime.buffer import BoundedBuffer, EndOfStream
 from repro.runtime.faults import (
+    NO_POLICY,
     ON_ERROR_MODES,
     CancellationToken,
     CancelledError,
@@ -70,8 +71,6 @@ Element = Item | MasterWorker
 
 #: the implicit producer stage's name in diagnostics
 STREAM_GENERATOR = "<stream-generator>"
-
-_DEFAULT_POLICY = FaultPolicy()
 
 #: fault-policy keys tolerated for sibling-pattern targets in shared files
 _LOOP_TARGETS = ("loop", "workers")
@@ -283,7 +282,7 @@ class _ListSink:
 
 def _deadline(el: Element) -> float | None:
     """The stage's ``ItemTimeout``, which its first attempts read."""
-    return (el.fault_policy or _DEFAULT_POLICY).item_timeout
+    return (el.fault_policy or NO_POLICY).item_timeout
 
 
 class _Ledger:
@@ -326,21 +325,14 @@ class _Ledger:
         trace: TraceCollector | None,
         cancel: CancellationToken | None = None,
     ) -> Outcome:
-        """What becomes of an element whose first attempt raised ``exc``:
-        the stage policy's retries and ``on_error`` disposition, counted
-        and recorded.  A body's own ``CancelledError`` fails the element;
-        one raised while the run's ``cancel`` has fired propagates."""
-        try:
-            if isinstance(exc, CancelledError):
-                raise exc  # never retried
-            outcome = (el.fault_policy or _DEFAULT_POLICY)._recover(
-                el.apply, value, exc, started, cancel, trace, el.name, seq,
-                self.metrics,
-            )
-        except CancelledError as own:
-            if cancel is not None and cancel.cancelled:
-                raise
-            outcome = Outcome("failed", None, 1, own)
+        """What becomes of an element whose first attempt raised ``exc``,
+        as the stage policy's :meth:`~FaultPolicy._recover` decides
+        (:data:`NO_POLICY` without one), counted and recorded; the run's
+        own cancellation propagates from there."""
+        outcome = (el.fault_policy or NO_POLICY)._recover(
+            el.apply, value, exc, started, cancel, trace, el.name, seq,
+            self.metrics,
+        )
         self.counters[el.name].account(outcome)
         if self.metrics is not None:
             count_outcome(
@@ -541,18 +533,19 @@ class Pipeline:
         return self.trace, self.metrics, self.profile
 
     def _effective_elements(self) -> list[Element]:
-        """Apply StageFusion pairs to the element list."""
-        elements = list(self.elements)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(elements) - 1):
-                a, b = elements[i], elements[i + 1]
-                pair = f"{a.name}/{b.name}"
-                if pair in self._fusions and isinstance(a, Item) and isinstance(b, Item):
-                    elements[i : i + 2] = [a.fused_with(b)]
-                    changed = True
-                    break
+        """Apply StageFusion pairs, which name the original stages: True
+        pairs ``a/b`` and ``b/c`` fuse adjacent items into ``a+b+c``."""
+        elements: list[Element] = []
+        previous: Element | None = None
+        for el in self.elements:
+            if (
+                isinstance(previous, Item) and isinstance(el, Item)
+                and f"{previous.name}/{el.name}" in self._fusions
+            ):
+                elements[-1] = elements[-1].fused_with(el)
+            else:
+                elements.append(el)
+            previous = el
         return elements
 
     # ------------------------------------------------------------------

@@ -341,6 +341,12 @@ class ShmOutput:
         except OSError:  # pragma: no cover - already gone
             pass
 
+    def forget(self) -> None:
+        """Unmap, never unlink: a forked child's copy of the parent's
+        region, as :meth:`InputArena.forget` (a disposed one has none)."""
+        with contextlib.suppress(BufferError):
+            self._seg.close()
+
 
 class ShmOutputWriter:
     """Worker-side writer of fixed-width chunk results.

@@ -19,7 +19,7 @@ import pytest
 
 from repro.patterns.tuning import apply_config
 from repro.report import fault_report
-from repro.runtime import Item, MasterWorker, Pipeline
+from repro.runtime import Item, MasterWorker, Pipeline, PipelineError
 from repro.runtime import backend as backend_mod
 from repro.runtime.backend import (
     BACKENDS,
@@ -50,7 +50,7 @@ from repro.runtime.parallel_for import (
     parallel_for,
     parallel_reduce,
 )
-from repro.runtime.trace import trace_session
+from repro.runtime.trace import TraceCollector, trace_session
 
 backends = pytest.mark.parametrize("backend", BACKENDS)
 
@@ -75,6 +75,15 @@ def cancelled_at_three(x):
     if x == 3:
         raise CancelledError("body cancelled")
     return x
+
+
+class BrokenKernelPolicy(FaultPolicy):
+    """A policy whose chunk loop itself raises: an error that escapes
+    the kernel, where every error of a body is the policy's to decide.
+    Module-level, so a worker unpickles it by reference under spawn."""
+
+    def execute_chunk(self, fn, chunk, *args, **kwargs):
+        raise RuntimeError("the kernel broke")
 
 
 # ---------------------------------------------------------------------------
@@ -221,25 +230,62 @@ class TestBackendParity:
     def test_body_cancelled_error_matches_the_thread_backend(
         self, policy, traced
     ):
-        # a body's own CancelledError is not the call's cancellation: the
-        # raised error and the ledger it leaves agree on every backend
-        def outcome(backend):
+        # one contract for both policy columns: a body's own
+        # CancelledError is a failed element with its record, and one
+        # raised once the call's token has fired is the call's
+        # cancellation, with no record
+        def outcome(backend, body=cancelled_at_three, **kwargs):
             ledger = []
             with trace_session() if traced else contextlib.nullcontext():
                 with pytest.raises(BaseException) as info:
                     parallel_for(
-                        range(8), cancelled_at_three, workers=2,
-                        chunk_size=2, backend=backend, ledger=ledger,
-                        policy=policy,
+                        range(8), body, workers=2, chunk_size=2,
+                        backend=backend, ledger=ledger, policy=policy,
+                        **kwargs,
                     )
             return (
                 type(info.value), str(info.value), [r.seq for r in ledger]
             )
 
         expect = outcome("thread")
-        assert expect[:2] == (CancelledError, "body cancelled")
+        assert expect == (CancelledError, "body cancelled", [3])
         assert outcome("serial") == expect
+        # metrics keep a serial run off the featureless road
+        assert outcome("serial", metrics=MetricsRegistry()) == expect
         assert outcome("process") == expect
+
+        for backend in ("serial", "thread"):
+            token = CancellationToken()
+
+            def cancelled_by_the_run(x, token=token):
+                if x == 3:
+                    # a sibling thread that sees the token raises alike
+                    token.cancel("body cancelled")
+                    raise CancelledError("body cancelled")
+                return x
+
+            assert outcome(backend, cancelled_by_the_run, cancel=token) == (
+                CancelledError, "body cancelled", []
+            )
+
+        if traced:
+            for sequential in (False, True):
+                trace = TraceCollector()
+                pipe = Pipeline(
+                    Item(cancelled_at_three, name="bad"), trace=trace,
+                    sequential=sequential, stall_timeout=5.0,
+                )
+                pipe.element("bad").fault_policy = policy
+                with pytest.raises(PipelineError) as info:
+                    pipe.run(range(8))
+                assert [
+                    (r.stage, r.seq, type(r.error))
+                    for r in info.value.records
+                ] == [("bad", 3, CancelledError)]
+                assert [
+                    s.detail.get("error") for s in trace.spans()
+                    if (s.kind, s.stage, s.seq) == ("execute", "bad", 3)
+                ] == [repr(CancelledError("body cancelled"))]
 
     @backends
     def test_retries_accounted_in_ledger(self, backend):
@@ -1059,7 +1105,7 @@ class TestPoolLifetime:
         assert not backend_mod._SESSIONS
 
     def test_member_survives_a_kernel_that_raises(self):
-        # a body's CancelledError escapes a policy's chunk loop; the
+        # an error that escapes the kernel itself ends the call: the
         # worker reports it, and the call raises it, as in-process
         values = list(range(8))
         assert parallel_for(
@@ -1067,10 +1113,10 @@ class TestPoolLifetime:
         ) == [v * v for v in values]
         session = get_session(2)
         pids = sorted(session.pids)
-        with pytest.raises(CancelledError, match="body cancelled"):
+        with pytest.raises(RuntimeError, match="the kernel broke"):
             parallel_for(
-                values, cancelled_at_three, workers=2, chunk_size=2,
-                backend="process", policy=FaultPolicy(),
+                values, square, workers=2, chunk_size=2,
+                backend="process", policy=BrokenKernelPolicy(),
             )
         assert len(session._members) == 2
         assert all(p.is_alive() for p, _q in session._members.values())

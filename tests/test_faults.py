@@ -28,7 +28,6 @@ from repro.runtime import (
 from repro.runtime import faults
 from repro.runtime import pipeline as pipeline_module
 from repro.runtime.backend import _run_map_chunk
-from repro.runtime.faults import Outcome
 from repro.runtime.metrics import MetricsRegistry, count_outcome
 from repro.runtime.parallel_for import configured_parallel_for
 from repro.runtime.trace import TraceCollector
@@ -111,6 +110,46 @@ class TestFaultPolicy:
             FaultPolicy(retries=10, backoff=5.0).execute(fn, 1, cancel=token)
         assert calls[0] == 1  # the 5s backoff sleep was interrupted
 
+    @pytest.mark.parametrize("on_error", faults.ON_ERROR_MODES)
+    def test_a_bodys_own_cancelled_error_fails_its_element(self, on_error):
+        # the attempt that raises it is traced as any failed attempt, but
+        # it is never retried, and the element fails whatever on_error
+        calls = []
+
+        def fn(v):
+            calls.append(v)
+            if len(calls) == 2:
+                raise CancelledError("body cancelled")
+            raise ValueError("boom")
+
+        trace = TraceCollector()
+        out = FaultPolicy(retries=3, backoff=0.0, on_error=on_error).execute(
+            fn, 1, cancel=CancellationToken(), trace=trace, stage="s", seq=4,
+        )
+        assert (out.action, out.attempts, out.value) == ("failed", 2, None)
+        assert isinstance(out.error, CancelledError) and len(calls) == 2
+        assert [
+            (s.kind, s.detail.get("error")) for s in trace.spans()
+            if s.kind != "backoff"
+        ] == [
+            ("execute", repr(ValueError("boom"))),
+            ("retry", repr(CancelledError("body cancelled"))),
+        ]
+
+    def test_the_runs_cancellation_propagates_with_no_span(self):
+        token = CancellationToken()
+
+        def fn(v):
+            token.cancel("run cancelled")
+            token.raise_if_cancelled()
+
+        trace = TraceCollector()
+        with pytest.raises(CancelledError, match="run cancelled"):
+            FaultPolicy(retries=3, backoff=0.0).execute(
+                fn, 1, cancel=token, trace=trace,
+            )
+        assert trace.spans() == []
+
     def test_retries_sleep_the_delays_schedule(self, monkeypatch):
         policy = FaultPolicy(retries=3, backoff=0.01, seed=5)
         slept = []
@@ -175,8 +214,8 @@ class TestFaultPolicy:
 CHUNK_LO, CHUNK_HI, CHOSEN, SLOW = 20, 32, 25, 28
 STAGE = "loop"
 
-#: ``None`` runs the kernel's own loops; a reference loop runs it as
-#: ``FaultPolicy()`` (fail fast, no retries)
+#: ``None`` is a run with no policy: the kernel runs it as ``NO_POLICY``
+#: and the reference as ``FaultPolicy()`` (fail fast, no retries)
 CHUNK_POLICIES = {
     "none": None,
     "default": FaultPolicy(),
@@ -233,26 +272,15 @@ def chunk_body(kind, clock, token):
 
 def per_element_chunk(policy, fn, vals, lo, hi, trace, metrics, cancel):
     """The reference: one :meth:`FaultPolicy.execute` call per element,
-    counted per element.  Without a policy the kernel counts any
-    exception, a body's ``CancelledError`` included, as the element's
-    failure, where ``execute`` lets cancellation propagate; and it
-    leaves the token to the executor's stop check."""
+    counted per element, as ``FaultPolicy()`` when there is no policy."""
     values, records = [], []
     counters = dict.fromkeys(
         ("delivered", "retried", "skipped", "fallbacks", "failed"), 0
     )
     for i, v in enumerate(vals[lo:hi], lo):
-        started = time.monotonic()
-        try:
-            outcome = (policy or FaultPolicy()).execute(
-                fn, v, cancel if policy else None, trace, STAGE, i, metrics
-            )
-        except CancelledError as exc:
-            if policy is not None:
-                raise
-            if trace is not None:
-                trace.record("execute", STAGE, i, started, None, 1, repr(exc))
-            outcome = Outcome("failed", None, 1, exc)
+        outcome = (policy or FaultPolicy()).execute(
+            fn, v, cancel, trace, STAGE, i, metrics
+        )
         counters["retried"] += outcome.attempts - 1
         if outcome.error is not None:
             records.append((i, outcome.error, outcome.attempts, outcome.action))
@@ -332,9 +360,10 @@ class TestChunkLoopMatchesExecute:
         assert got == observed(reference, traced, metered)
         if body not in ("ok", "token") and "raised" not in got:
             assert [r[0] for r in got["records"]] in ([], [CHOSEN])
-        if slow and "raised" not in got:
+        if slow and "raised" not in got and not got["failed"]:
             # the slow element's first attempt overran the deadline and
-            # was retried, besides any retry of the chosen element
+            # was retried, besides any retry of the chosen element (a
+            # chunk that failed there never reached the slow element)
             assert got["counters"]["retried"] == 1 + (body != "ok")
             if traced:
                 assert ("timeout", SLOW) in {s[:2] for s in got["spans"]}
@@ -418,12 +447,9 @@ def per_element_pipeline(stages, values, trace, metrics, queue_waits=True):
         for name, fn, policy in stages:
             if trace is not None and queue_waits:
                 trace.record("queue_wait", name, seq, time.monotonic())
-            try:
-                outcome = (policy or FaultPolicy()).execute(
-                    fn, v, None, trace, name, seq, metrics
-                )
-            except CancelledError as exc:
-                outcome = Outcome("failed", None, 1, exc)
+            outcome = (policy or FaultPolicy()).execute(
+                fn, v, None, trace, name, seq, metrics
+            )
             c = counters[name]
             c["retried"] += outcome.retried
             if metrics is not None:

@@ -257,6 +257,46 @@ class TestPipeline:
         pipe.configure({"StageFusion@A/B": False})
         assert len(pipe._effective_elements()) == 2
 
+    @staticmethod
+    def chain(middle=None):
+        return Pipeline(
+            Item(lambda x: x + 1, name="parse"),
+            middle or Item(lambda x: x * 3, name="compute"),
+            Item(lambda x: x - 2, name="emit"),
+        )
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    @pytest.mark.parametrize("keys, stages", [
+        (
+            ["parse/compute", "compute/emit"], ["parse+compute+emit"],
+        ),
+        (["parse/compute"], ["parse+compute", "emit"]),
+        (["compute/emit"], ["parse", "compute+emit"]),
+    ], ids=["chained", "first-pair", "second-pair"])
+    def test_fusion_pairs_name_the_original_stages(
+        self, keys, stages, sequential
+    ):
+        # each pair names two original stages, so chained pairs fuse a
+        # run of adjacent items into one stage
+        pipe = self.chain()
+        pipe.configure({f"StageFusion@{key}": True for key in keys})
+        pipe.configure({"SequentialExecution@pipeline": sequential})
+        assert pipe.run(range(20)) == [(x + 1) * 3 - 2 for x in range(20)]
+        assert pipe.stats["stages"] == stages
+
+    def test_a_group_in_the_chain_blocks_fusion(self):
+        group = MasterWorker(
+            Item(lambda x: x * 3, name="triple"), name="compute",
+            merge=lambda v, rs: rs[0],
+        )
+        pipe = self.chain(group)
+        pipe.configure(
+            {"StageFusion@parse/compute": True,
+             "StageFusion@compute/emit": True}
+        )
+        assert pipe.run(range(20)) == [(x + 1) * 3 - 2 for x in range(20)]
+        assert pipe.stats["stages"] == ["parse", "compute", "emit"]
+
     def test_sequential_execution(self):
         pipe = Pipeline(*self.stages())
         pipe.configure({"SequentialExecution@pipeline": True})

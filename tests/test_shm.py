@@ -37,6 +37,7 @@ from repro.runtime.backend import (
     _session_worker_main,
     get_session,
     mp_context,
+    pool_session,
     ship_blob,
     ship_kernel,
 )
@@ -50,7 +51,7 @@ from repro.runtime.shm import (
     _pack_into,
     normalize_transport,
 )
-from repro.runtime.faults import CancelledError
+from repro.runtime.faults import CancellationToken, CancelledError
 from repro.runtime.trace import TraceCollector
 
 
@@ -408,9 +409,13 @@ def stop_after(n):
     return lambda: next(calls, n) >= n
 
 
-def cancel_at(x, poison):
+def cancel_at(x, poison, token):
+    """Fire the run's ``token`` at ``poison`` and raise its cancellation,
+    as a nested group cancelled mid-element does: that escapes the
+    kernel, where a body's own ``CancelledError`` is a failed element."""
     if x == poison:
-        raise CancelledError("stopped by the body")
+        token.cancel("stopped mid-element")
+        token.raise_if_cancelled()
     return x * x
 
 
@@ -502,10 +507,14 @@ class TestViewLifetime:
                 assert failed == exit_.endswith("fails")
             else:
                 should_stop = stop_after(stop) if stop else lambda: False
+                token = CancellationToken()
+                if exit_ == "policy-cancelled":
+                    body = functools.partial(body, token=token)
                 try:
                     _v, _r, _c, failed, aborted = _run_map_chunk(
                         0, (16, 32), body, view, policy, should_stop,
                         trace=TraceCollector() if traced else None,
+                        cancel=token,
                     )
                 except CancelledError:
                     assert exit_ == "policy-cancelled"
@@ -794,6 +803,35 @@ class TestInputArena:
         assert name in psm_names()
         assert self.reduce(values) == sum(v * v for v in values)
         assert the_session().arena.name == name
+
+    @pytest.mark.skipif(
+        not pathlib.Path("/proc/self/maps").exists(),
+        reason="reads the members' /proc/<pid>/maps",
+    )
+    def test_no_member_keeps_a_result_region_mapped(self):
+        # the members are forked during the first call and inherit its
+        # result region; each unmaps that copy at the fork, so once every
+        # member has closed its own writer no member maps an unlinked
+        # segment
+        values = [float(v % 13) for v in range(20_000)]
+        for _ in range(3):
+            out = parallel_for(values, square, **self.OPTS)
+            assert out == [v * v for v in values]
+        # held, the session is never reaped while it is probed
+        with pool_session(2) as session:
+            deadline = time.monotonic() + 3.0
+            while True:
+                unlinked = [
+                    line
+                    for pid in session.pids
+                    for line in pathlib.Path(f"/proc/{pid}/maps")
+                    .read_text().splitlines()
+                    if "/psm_" in line and line.endswith("(deleted)")
+                ]
+                if not unlinked or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+        assert unlinked == []
 
     def test_straggler_reading_a_repacked_arena_is_harmless(self):
         # chunk 0 fails at once and ends the call while the other worker
