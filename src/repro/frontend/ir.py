@@ -158,9 +158,6 @@ class IRStatement:
     def contains_control_transfer(self) -> bool:
         return any(st.is_control_transfer for st in self.walk())
 
-    def nested_loops(self) -> list["IRStatement"]:
-        return [st for st in self.walk() if st.is_loop and st is not self]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"IRStatement({self.sid}, {self.kind.value}, line {self.line})"
 

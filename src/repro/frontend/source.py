@@ -11,7 +11,7 @@ of ground truth in :mod:`repro.benchsuite.ground_truth` and of scoring in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.frontend.ir import IRFunction
 from repro.frontend.parser import parse_module
@@ -48,12 +48,6 @@ class SourceProgram:
             functions={f.qualname: f for f in funcs},
             source=source,
         )
-
-    @classmethod
-    def from_functions(
-        cls, functions: Iterable[IRFunction], name: str = "<program>"
-    ) -> "SourceProgram":
-        return cls(name=name, functions={f.qualname: f for f in functions})
 
     def __iter__(self) -> Iterator[IRFunction]:
         return iter(self.functions.values())

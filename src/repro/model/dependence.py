@@ -74,21 +74,12 @@ class DependenceGraph:
     def independent(self) -> set[Dependence]:
         return {e for e in self.edges if not e.carried}
 
-    def edges_between(self, a: str, b: str) -> set[Dependence]:
-        return {e for e in self.edges if {e.src, e.dst} == {a, b} or
-                (e.src == a and e.dst == b) or (e.src == b and e.dst == a)}
-
     def successors(self, sid: str, carried: bool | None = None) -> set[str]:
         return {
             e.dst
             for e in self.edges
             if e.src == sid and (carried is None or e.carried == carried)
         }
-
-    def remove_symbol(self, symbol: Symbol) -> None:
-        """Drop every edge on ``symbol`` (used when a reduction/collector
-        idiom makes the dependence harmless under the chosen pattern)."""
-        self.edges = {e for e in self.edges if e.symbol != symbol}
 
     def without(self, drop: Iterable[Dependence]) -> "DependenceGraph":
         d = set(drop)
@@ -102,11 +93,6 @@ class DependenceGraph:
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
-
-def _must_write(st_writes: set[Symbol], sym: Symbol) -> bool:
-    """Does a statement definitely (re)define the whole of ``sym``?"""
-    return sym in st_writes and not sym.is_container and not sym.is_attribute
-
 
 def _killable(writes: set[Symbol]) -> set[Symbol]:
     """Writes that fully redefine their location (plain names)."""

@@ -43,10 +43,6 @@ class LoopModel:
     def sid(self) -> str:
         return self.loop.sid
 
-    @property
-    def has_runtime_info(self) -> bool:
-        return self.profile is not None
-
 
 @dataclass
 class SemanticModel:

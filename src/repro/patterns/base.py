@@ -29,9 +29,6 @@ class StagePartition:
     def __len__(self) -> int:
         return len(self.stages)
 
-    def name_of(self, index: int) -> str:
-        return self.names[index]
-
     def stage_map(self) -> dict[str, list[str]]:
         return {n: list(s) for n, s in zip(self.names, self.stages)}
 

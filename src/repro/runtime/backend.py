@@ -550,14 +550,6 @@ class ProcessRun:
     #: the first exception a pool worker's chunk kernel let escape
     raised: BaseException | None = None
 
-    def missing(
-        self, n_chunks: int, completed: frozenset[int] = frozenset()
-    ) -> list[int]:
-        return [
-            k for k in range(n_chunks)
-            if k not in self.chunks and k not in completed
-        ]
-
 
 @dataclass
 class ProcessPayload:
@@ -811,6 +803,14 @@ def run_chunk(
     return ChunkResult(k, values, records, counters, failed)
 
 
+def static_stripes(
+    todo: Sequence[int], width: int
+) -> list[Sequence[int]]:
+    """The static schedule, for every executor: slot ``j`` of ``width``
+    runs the call's live chunks ``todo[j::width]``, round-robin."""
+    return [todo[j::width] for j in range(width)]
+
+
 def deliver_chunk(
     chunk: ChunkResult,
     bounds: tuple[int, int],
@@ -847,7 +847,7 @@ def deliver_chunk(
 
 
 #: generation tag layout in the shared claim counter: the high 32 bits
-#: name the call generation, the low 32 bits are the next chunk index.
+#: name the call generation, the low 32 bits index the call's live list.
 #: A session reuses one counter across calls; a straggler from a
 #: previous generation sees the mismatch and stops claiming.
 _GEN_SHIFT = 32
@@ -878,10 +878,7 @@ def _resolve_input(input_spec: tuple[str, Any], arena: InputMapping):
 
 def _serve_call(
     uid: int,
-    slot: int,
     gen: int,
-    nworkers: int,
-    schedule: str,
     counter,
     result_q,
     stop_flag,
@@ -889,25 +886,25 @@ def _serve_call(
     vals,
     chunks: list[tuple[int, int]],
     out,
-    skip: Sequence[int],
+    live: Sequence[int],
     assigned: Sequence[tuple[int, int]] | None,
 ) -> None:
     """Claim and execute chunks for one call — the worker-side protocol.
 
-    ``uid`` is the worker's identity in every message; ``slot`` is its
-    static-stripe position for this call.  Every message carries ``gen``
-    so the parent can discard stragglers from earlier calls of a reused
-    pool.  Chunks are claimed, run and reported by their position in
-    ``chunks``.  The worker stops between elements once ``stop_flag`` is
-    set; only the parent sets it (a failed chunk, a fired token, the end
-    of the call), so a straggler can never race the next call's clear.
+    ``uid`` is the worker's identity in every message.  Every message
+    carries ``gen`` so the parent can discard stragglers from earlier
+    calls of a reused pool.  Chunks are claimed, run and reported by
+    their position in ``chunks``.  The worker stops between elements
+    once ``stop_flag`` is set; only the parent sets it (a failed chunk,
+    a fired token, the end of the call), so a straggler can never race
+    the next call's clear.
 
-    Original pool members claim chunks per ``schedule``; replacement and
-    hedge workers receive an explicit ``assigned`` list of
-    ``(chunk, attempt)`` pairs instead.  ``skip`` holds chunk indices a
-    resumed run already has journaled — never re-executed.  Every claim
-    is announced on ``result_q`` before the chunk runs, which is the
-    ownership ledger the parent's recovery logic reads.
+    A member runs what the parent hands it, and decides nothing: an
+    ``assigned`` list of ``(chunk, attempt)`` pairs (a static stripe, a
+    replacement's lost chunks, a hedge), or else the call's ``live``
+    chunk indices, taken one at a time through the shared ``counter``.
+    Every claim is announced on ``result_q`` before the chunk runs,
+    which is the ownership ledger the parent's recovery logic reads.
     """
     kernel, specs = loaded
     label = kernel.label
@@ -925,35 +922,23 @@ def _serve_call(
     injector = observers.get("chaos")
 
     should_stop = stop_flag.is_set
-    skip_set = frozenset(skip)
     if assigned is not None:
-        handed = iter(list(assigned))
+        handed = iter(assigned)
 
         def claim() -> tuple[int, int] | None:
             return next(handed, None)
-    elif schedule == "static":
-        stripe = iter(
-            k for k in range(slot, len(chunks), nworkers) if k not in skip_set
-        )
-
-        def claim() -> tuple[int, int] | None:
-            k = next(stripe, None)
-            return None if k is None else (k, 1)
     else:
 
         def claim() -> tuple[int, int] | None:
-            while True:
-                with counter.get_lock():
-                    v = counter.value
-                    if (v >> _GEN_SHIFT) != gen:
-                        return None  # the pool moved on to a newer call
-                    k = v & _GEN_MASK
-                    if k >= len(chunks):
-                        return None
-                    counter.value = v + 1
-                if k in skip_set:
-                    continue
-                return (k, 1)
+            with counter.get_lock():
+                v = counter.value
+                if (v >> _GEN_SHIFT) != gen:
+                    return None  # the pool moved on to a newer call
+                i = v & _GEN_MASK
+                if i >= len(live):
+                    return None
+                counter.value = v + 1
+            return (live[i], 1)
 
     while not should_stop():
         claimed = claim()
@@ -1064,8 +1049,7 @@ def _session_worker_main(
         try:
             try:
                 (
-                    gen, digest, kernel_blob, call_blob,
-                    schedule, nworkers, slot, skip, assigned,
+                    gen, digest, kernel_blob, call_blob, live, assigned,
                 ) = pickle.loads(raw)
                 if kernel_blob is not None and digest not in kernels:
                     kernels[digest] = _load_kernel(kernel_blob)
@@ -1080,8 +1064,8 @@ def _session_worker_main(
                     raise  # the replaced arena is pinned: see above
             else:
                 _serve_call(
-                    uid, slot, gen, nworkers, schedule, counter, result_q,
-                    stop_flag, kernel, vals, chunks, out, skip, assigned,
+                    uid, gen, counter, result_q, stop_flag, kernel, vals,
+                    chunks, out, live, assigned,
                 )
         finally:
             try:
@@ -1146,11 +1130,12 @@ class PoolSession:
         return [p.pid for p, _q in self._members.values()]
 
     def _spawn_member(
-        self, *, slot: int, assigned: list[tuple[int, int]] | None
+        self, assigned: list[tuple[int, int]] | None
     ) -> tuple[int, Any]:
         """Start a member with the current call's task; queueing it
         would cost a feeder-thread start, ~1 ms while fresh forks hold
-        the CPU."""
+        the CPU.  The collector starts replacement and hedge workers
+        here too, each with the chunks it ``assigned`` them."""
         uid = self._next_uid
         self._next_uid += 1
         self._known[uid] = set()
@@ -1159,7 +1144,7 @@ class PoolSession:
             target=_session_worker_main,
             args=(
                 uid, task_q, self.result_q, self.counter, self.stop_flag,
-                self._task(uid, slot=slot, assigned=assigned),
+                self._task(uid, assigned),
             ),
             daemon=True,
             name=f"repro-pool-{uid}",
@@ -1198,14 +1183,15 @@ class PoolSession:
     def begin_call(
         self,
         payload: "ProcessPayload",
-        *,
-        schedule: str,
-        skip: frozenset[int],
-    ) -> list[tuple[int, int, Any]]:
+        live: Sequence[int],
+        stripes: list[Sequence[int]] | None,
+    ) -> list[tuple[int, Any, list[tuple[int, int]] | None]]:
         """Heal to strength, open a new generation, dispatch the call.
 
-        Returns the roster as ``(uid, slot, process)`` — ``slot`` is the
-        worker's static-stripe position for this call only.
+        Member ``j`` of the roster is handed ``stripes[j]``, a static
+        call's stripe, as its ``assigned`` list; without ``stripes``
+        every member claims the ``live`` chunks from the shared counter.
+        Returns the roster as ``(uid, process, assigned)``.
         """
         self.gen = (self.gen + 1) & _GEN_MASK or 1
         # anything still queued belongs to an earlier generation
@@ -1218,52 +1204,38 @@ class PoolSession:
         with self.counter.get_lock():
             self.counter.value = self.gen << _GEN_SHIFT
         self._prune_dead()
-        self._call = (payload, schedule, tuple(sorted(skip)))
+        self._call = (payload, live)
+        members = sorted(self._members)[: self.nworkers]
         roster = []
-        for slot, uid in enumerate(sorted(self._members)[: self.nworkers]):
-            self._members[uid][1].put(
-                self._task(uid, slot=slot, assigned=None)
+        for j in range(self.nworkers):
+            assigned = (
+                None if stripes is None else [(k, 1) for k in stripes[j]]
             )
-            roster.append((uid, slot, self._members[uid][0]))
-        for slot in range(len(roster), self.nworkers):
-            uid, p = self._spawn_member(slot=slot, assigned=None)
-            roster.append((uid, slot, p))
+            if j < len(members):
+                uid = members[j]
+                self._members[uid][1].put(self._task(uid, assigned))
+            else:
+                uid, _p = self._spawn_member(assigned)
+            roster.append((uid, self._members[uid][0], assigned))
         self.calls += 1
         return roster
 
     def _task(
-        self,
-        uid: int,
-        *,
-        slot: int,
-        assigned: list[tuple[int, int]] | None,
+        self, uid: int, assigned: list[tuple[int, int]] | None
     ) -> bytes:
         """The current call's task for one member, pickled."""
-        payload, schedule, skip = self._call
+        payload, live = self._call
         known = self._known[uid]
         msg = (
             self.gen,
             payload.digest,
             None if payload.digest in known else payload.kernel_blob,
             payload.call_blob,
-            schedule,
-            self.nworkers,
-            slot,
-            skip,
+            live,
             assigned,
         )
         known.add(payload.digest)
         return pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def spawn_assigned(
-        self, assigned: list[tuple[int, int]]
-    ) -> tuple[int, Any]:
-        """A replacement or hedge worker joining the current call."""
-        return self._spawn_member(slot=self.nworkers, assigned=list(assigned))
-
-    def note_dead(self, uid: int) -> None:
-        """The collector found a dead member; forget it."""
-        self._drop_member(uid, sentinel=False)
 
     def resize(self, workers: int) -> None:
         """Re-tune the session's target width between calls.
@@ -1517,17 +1489,27 @@ def _pool_wait(result_q, procs: Sequence[Any], timeout: float) -> None:
 HEDGE_MIN_SAMPLES = 3
 
 
+#: the ``pool_*`` counter each kind of recovery decision adds one to
+_RECOVERY_METRICS = {
+    "worker_lost": "pool_workers_lost",
+    "respawn": "pool_respawns",
+    "redispatch": "pool_redispatches",
+    "hedge": "pool_hedges",
+    "lost": "pool_chunks_lost",
+}
+
+
 def run_process_chunks(
     payload: ProcessPayload,
     chunks: Sequence[tuple[int, int]],
     *,
     session: PoolSession,
     workers: int,
+    todo: Sequence[int] | None = None,
     schedule: str = "dynamic",
     cancel: CancellationToken | None = None,
     max_restarts: int = 0,
     hedge: float = 0.0,
-    completed: frozenset[int] = frozenset(),
     observers: dict[str, Any] | None = None,
     label: str = "loop",
     checkpoint: Any = None,
@@ -1544,8 +1526,12 @@ def run_process_chunks(
 
     Resilience contract:
 
-    * ``chunks`` are the chunk bounds; every dispatch is tracked in an
-      ownership ledger fed by worker ``claim`` messages.
+    * ``chunks`` are the plan's bounds, ``todo`` the chunks the call
+      runs (all by default), and the collector alone decides what each
+      member runs: under ``static`` it hands member ``j`` its stripe
+      (:func:`static_stripes` over ``todo`` and the session width),
+      owned from birth; else members claim ``todo`` from the shared
+      counter, each chunk owned from its ``claim`` message.
     * A dead worker's in-flight chunks are re-dispatched to a fresh
       replacement process while ``max_restarts`` budget remains
       (at-least-once: duplicate completions are discarded, first result
@@ -1556,25 +1542,23 @@ def run_process_chunks(
       :data:`HEDGE_MIN_SAMPLES` chunk latencies are observed, a chunk older
       than the ``hedge`` quantile of that sample gets a speculative
       duplicate dispatch.
-    * ``completed`` chunk indices (a resumed run's journal) are never
-      executed; every first result goes through :func:`deliver_chunk`,
-      which absorbs its sidecars into ``observers`` (the run's
-      ``{kind: observer}`` map) and feeds ``checkpoint`` (a duck-typed
+    * Every first result goes through :func:`deliver_chunk`, which
+      absorbs its sidecars into ``observers`` (the run's ``{kind:
+      observer}`` map) and feeds ``checkpoint`` (a duck-typed
       ``record(k, lo, hi, values)``) each successful chunk *as it is
       delivered*, so a kill mid-run loses at most the in-flight chunks.
-    * Recovery decisions are returned as :attr:`ProcessRun.recovery` and
-      mirrored as ``respawn``/``redispatch``/``hedge``/``checkpoint``
-      spans on the ``trace`` observer.
+    * Each recovery decision is recorded once, by ``note_recovery``: a
+      :class:`RecoveryEvent` in :attr:`ProcessRun.recovery`, its
+      ``pool_*`` counter, and a ``respawn``/``redispatch``/``hedge``
+      instant on the ``trace`` observer.
     * ``out_values`` is the parent-side shared output region a chunk
       flagged ``shm`` is materialized from at absorb time.
     """
     bounds = list(chunks)
-    n_chunks = len(bounds)
-    skip = frozenset(k for k in completed if 0 <= k < n_chunks)
-    live_chunks = n_chunks - len(skip)
-    if live_chunks <= 0:
+    live = range(len(bounds)) if todo is None else todo
+    if not live:
         return ProcessRun(chunks={}, fatal=[])
-    nworkers = max(1, min(workers, live_chunks))
+    nworkers = max(1, min(workers, len(live)))
 
     observers = observers or {}
     trace, metrics = observers.get("trace"), observers.get("metrics")
@@ -1590,7 +1574,7 @@ def run_process_chunks(
     inflight: dict[int, set[int]] = {}
     claim_time: dict[int, float] = {}
     attempts: dict[int, int] = {}
-    latencies: list[float] = []
+    #: chunk -> claim-to-delivery seconds of its first result
     chunk_latency: dict[int, float] = {}
     hedged: set[int] = set()
     #: worker uid -> the chunk it claimed and has not yet delivered
@@ -1601,37 +1585,27 @@ def run_process_chunks(
 
     gen = None  # every message is stale until begin_call opens a generation
 
-    def spawn(assigned: list[tuple[int, int]]):
+    def spawn(assigned: list[tuple[int, int]]) -> Any:
         """Start a replacement or hedge worker for ``assigned`` chunks."""
-        uid, p = session.spawn_assigned(assigned)
+        uid, p = session._spawn_member(assigned)
         procs[uid] = p
         for k, att in assigned:
             inflight.setdefault(k, set()).add(uid)
             attempts[k] = max(attempts.get(k, 0), att)
             claim_time[k] = time.monotonic()
-        return uid, p
+        return p
 
-    def recv_nowait() -> tuple:
-        """One raw message off the result queue, metering its bytes."""
-        raw = result_q.get_nowait()
-        if metrics is not None:
-            metrics.inc(
-                "transport_bytes", len(raw), transport="pickle", stage=label
-            )
-        return pickle.loads(raw)
-
-    _RECOVERY_METRICS = {
-        "worker_lost": "pool_workers_lost",
-        "respawn": "pool_respawns",
-        "redispatch": "pool_redispatches",
-        "hedge": "pool_hedges",
-        "lost": "pool_chunks_lost",
-    }
-
-    def note_recovery(event: RecoveryEvent) -> None:
+    def note_recovery(
+        event: RecoveryEvent, seq: int | None = None, **span: Any
+    ) -> None:
+        """Record one recovery decision: the event, its ``pool_*``
+        counter and, given the ``seq`` of its span, its trace instant
+        (``worker_lost`` and ``lost`` have no span kind)."""
         recovery.append(event)
         if series is not None:
             series.inc(_RECOVERY_METRICS[event.kind])
+        if trace is not None and seq is not None:
+            trace.instant(event.kind, label, seq, **span)
 
     def absorb(message: tuple) -> None:
         nonlocal failed_seen
@@ -1644,7 +1618,7 @@ def run_process_chunks(
             _tag, uid, k, chunk, _gen = message
             if running.get(uid) == k:
                 del running[uid]
-            if chunk.shm and k not in delivered and k not in skip:
+            if chunk.shm and k not in delivered:
                 # materialize from the shared region exactly once, while
                 # the region is still alive; the message itself carried
                 # no data
@@ -1662,7 +1636,7 @@ def run_process_chunks(
                         transport="shm", stage=label,
                     )
             inflight.pop(k, None)
-            if k in delivered or k in skip:
+            if k in delivered:
                 # at-least-once dedup: a hedge loser or a redispatch
                 # duplicate — the first result won; dropping the loser
                 # whole (values, counters, sidecars) keeps parent-side
@@ -1680,7 +1654,6 @@ def run_process_chunks(
             t0 = claim_time.get(k)
             latency = None if t0 is None else time.monotonic() - t0
             if latency is not None:
-                latencies.append(latency)
                 chunk_latency[k] = latency
             deliver_chunk(
                 chunk, bounds[k], latency, label=label, observers=observers,
@@ -1709,12 +1682,22 @@ def run_process_chunks(
         else:
             fatal.append(message[2])
 
-    def drain_nowait() -> None:
+    def drain() -> bool:
+        """Absorb every message already on the result queue, metering
+        its bytes; True when there was at least one."""
+        got = False
         while True:
             try:
-                absorb(recv_nowait())
+                raw = result_q.get_nowait()
             except _queue.Empty:
-                return
+                return got
+            got = True
+            if metrics is not None:
+                metrics.inc(
+                    "transport_bytes", len(raw), transport="pickle",
+                    stage=label,
+                )
+            absorb(pickle.loads(raw))
 
     def unwinding() -> bool:
         # a failed chunk, a fatal worker, or cancellation means the run
@@ -1735,31 +1718,26 @@ def run_process_chunks(
         assigned = [(k, attempts.get(k, 0) + 1) for k in chunks]
         for k in chunks:
             inflight.pop(k, None)
-        _uid2, p2 = spawn(assigned)
+        p = spawn(assigned)
         note_recovery(
             RecoveryEvent(
-                "respawn", p2.name, tuple(chunks),
+                "respawn", p.name, tuple(chunks),
                 detail=f"{cause} restarts_used={restarts_used}",
-            )
+            ),
+            -1, worker=p.name, chunks=len(chunks), **span,
         )
-        if trace is not None:
-            trace.instant(
-                "respawn", label, -1, worker=p2.name, chunks=len(chunks),
-                **span,
-            )
         for k, att in assigned:
             note_recovery(
-                RecoveryEvent("redispatch", p2.name, (k,), detail=f"attempt={att}")
+                RecoveryEvent(
+                    "redispatch", p.name, (k,), detail=f"attempt={att}"
+                ),
+                bounds[k][0], chunk=k, attempt=att,
             )
-            if trace is not None:
-                trace.instant(
-                    "redispatch", label, bounds[k][0], chunk=k, attempt=att
-                )
 
     def handle_death(uid: int) -> None:
         p = procs[uid]
         dead_uids.add(uid)
-        session.note_dead(uid)
+        session._drop_member(uid, sentinel=False)
         lost: list[int] = []
         for k in sorted(inflight):
             owners = inflight[k]
@@ -1780,9 +1758,9 @@ def run_process_chunks(
         nonlocal hedges_used
         if hedge <= 0.0 or unwinding():
             return
-        if len(latencies) < HEDGE_MIN_SAMPLES or hedges_used >= nworkers:
+        if len(chunk_latency) < HEDGE_MIN_SAMPLES or hedges_used >= nworkers:
             return
-        durs = sorted(latencies)
+        durs = sorted(chunk_latency.values())
         n = len(durs)
         threshold = durs[min(n - 1, max(0, math.ceil(hedge * n) - 1))]
         now = time.monotonic()
@@ -1800,22 +1778,18 @@ def run_process_chunks(
             hedged.add(k)
             hedges_used += 1
             att = attempts.get(k, 1) + 1
-            _uid2, p2 = spawn([(k, att)])
+            p = spawn([(k, att)])
             note_recovery(
                 RecoveryEvent(
-                    "hedge", p2.name, (k,),
+                    "hedge", p.name, (k,),
                     detail=(
                         f"elapsed={elapsed:.3f}s "
                         f"threshold={threshold:.3f}s attempt={att}"
                     ),
-                )
+                ),
+                bounds[k][0],
+                chunk=k, elapsed=elapsed, threshold=threshold, attempt=att,
             )
-            if trace is not None:
-                trace.instant(
-                    "hedge", label, bounds[k][0],
-                    chunk=k, elapsed=elapsed, threshold=threshold,
-                    attempt=att,
-                )
 
     # Hedging and cancel bridging are the only reasons to wake without a
     # pool event; otherwise the wait can stretch — every message and
@@ -1830,22 +1804,23 @@ def run_process_chunks(
         )
     result_q, stop_flag = session.result_q, session.stop_flag
     try:
-        roster = session.begin_call(payload, schedule=schedule, skip=skip)
-        gen = session.gen
-        for uid, slot, p in roster:
+        stripes = (
+            static_stripes(live, session.nworkers)
+            if schedule == "static" else None
+        )
+        for uid, p, assigned in session.begin_call(payload, live, stripes):
             procs[uid] = p
-            if schedule == "static":
-                # the stripe is ownership from birth: a static worker's
-                # unclaimed chunks die with it and must be re-dispatched
-                for k in range(slot, n_chunks, nworkers):
-                    if k not in skip:
-                        inflight.setdefault(k, set()).add(uid)
-                        attempts[k] = 1
+            # a handed stripe is ownership from birth: a static worker's
+            # unclaimed chunks die with it and must be re-dispatched
+            for k, att in assigned or ():
+                inflight.setdefault(k, set()).add(uid)
+                attempts[k] = att
+        gen = session.gen
         while True:
             # bridge the token into the pool: workers read only the flag
             if cancel is not None and cancel.cancelled:
                 stop_flag.set()
-            if len(delivered) >= live_chunks:
+            if len(delivered) >= len(live):
                 # every chunk accounted for: don't wait out hedge losers
                 # — stragglers are stopped and retired in the finally
                 break
@@ -1854,13 +1829,10 @@ def run_process_chunks(
                 if uid not in done_uids and uid not in dead_uids
             ]
             if not active:
-                drain_nowait()
-                if len(delivered) >= live_chunks:
+                drain()
+                if len(delivered) >= len(live):
                     break
-                missing = [
-                    k for k in range(n_chunks)
-                    if k not in delivered and k not in skip
-                ]
+                missing = [k for k in live if k not in delivered]
                 if (
                     missing
                     and not unwinding()
@@ -1874,31 +1846,23 @@ def run_process_chunks(
                     respawn(missing, "final sweep", sweep=True)
                     continue
                 break
-            try:
-                absorb(recv_nowait())
-                drain_nowait()
+            if drain():
                 continue
-            except _queue.Empty:
-                pass
             _pool_wait(result_q, [procs[uid] for uid in active], poll)
-            try:
-                absorb(recv_nowait())
-                drain_nowait()
-            except _queue.Empty:
-                suspects = [
-                    uid for uid in active if not procs[uid].is_alive()
-                ]
-                if suspects:
-                    # a just-exited worker's results and done-marker may
-                    # still be in the pipe: give the feeder a beat, then
-                    # drain before declaring anyone dead
-                    _pool_wait(result_q, (), 0.05)
-                    drain_nowait()
-                    for uid in suspects:
-                        if uid in done_uids or uid in dead_uids:
-                            continue
-                        handle_death(uid)
-                maybe_hedge()
+            if drain():
+                continue
+            suspects = [uid for uid in active if not procs[uid].is_alive()]
+            if suspects:
+                # a just-exited worker's results and done-marker may
+                # still be in the pipe: give the feeder a beat, then
+                # drain before declaring anyone dead
+                _pool_wait(result_q, (), 0.05)
+                drain()
+                for uid in suspects:
+                    if uid in done_uids or uid in dead_uids:
+                        continue
+                    handle_death(uid)
+            maybe_hedge()
         # Synthesize failures for chunks abandoned with their workers:
         # every element is accounted for — a result or an ErrorRecord —
         # so exhausted recovery surfaces through the ordinary fault road
@@ -1909,10 +1873,7 @@ def run_process_chunks(
             and not fatal
             and not (cancel is not None and cancel.cancelled)
         ):
-            abandoned = [
-                k for k in range(n_chunks)
-                if k not in delivered and k not in skip
-            ]
+            abandoned = [k for k in live if k not in delivered]
             if abandoned:
                 note_recovery(
                     RecoveryEvent(
@@ -1939,24 +1900,16 @@ def run_process_chunks(
                         )
                         for i in range(lo, hi)
                     ]
-                    delivered[k] = ChunkResult(
-                        k, [], records,
-                        {
-                            "delivered": 0, "retried": 0, "skipped": 0,
-                            "fallbacks": 0, "failed": hi - lo,
-                        },
-                        True,
-                    )
+                    counters = dict.fromkeys(ELEMENT_COUNTERS, 0)
+                    counters["failed"] = hi - lo
+                    delivered[k] = ChunkResult(k, [], records, counters, True)
     finally:
         stop_flag.set()  # live workers stop claiming; hedge losers unwind
         # Drain everything the worker feeders already flushed (late
         # results are absorbed and deduped — teardown must never discard
         # wanted data).
-        try:
-            while True:
-                absorb(recv_nowait())
-        except (_queue.Empty, OSError, EOFError):
-            pass
+        with contextlib.suppress(OSError, EOFError):
+            drain()
         # the session keeps its members for the next call, except a
         # member still busy on a chunk another copy already delivered
         session.end_call(

@@ -112,20 +112,6 @@ class BoundedBuffer:
             self.transfers += 1
             self._not_empty.notify()
 
-    def put_front(self, item: Any) -> None:
-        """Requeue at the head (sentinel redistribution between replicas);
-        deliberately ignores the capacity bound to avoid shutdown deadlock.
-
-        Because the bound is bypassed, ``max_occupancy`` may legitimately
-        report more than ``capacity`` — the high-water mark tracks what
-        the buffer actually held, which is what the
-        StageReplication/StageFusion sizing decisions need to see."""
-        with self._not_empty:
-            self._items.appendleft(item)
-            self.max_occupancy = max(self.max_occupancy, len(self._items))
-            self.transfers += 1
-            self._not_empty.notify()
-
     def get(
         self,
         timeout: float | None = None,

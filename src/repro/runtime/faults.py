@@ -447,10 +447,6 @@ class ErrorRecord:
     error: BaseException
     attempts: int = 1
 
-    def describe(self) -> str:
-        retried = f" after {self.attempts} attempts" if self.attempts > 1 else ""
-        return f"stage {self.stage!r} element {self.seq}: {self.error!r}{retried}"
-
 
 class StageCounters:
     """Thread-safe per-stage delivery accounting: one attribute per

@@ -73,6 +73,7 @@ from repro.runtime.backend import (
     run_chunk,
     run_process_chunks,
     ship_kernel,
+    static_stripes,
 )
 from repro.runtime.chaos import ChaosInjector
 from repro.runtime.checkpoint import CheckpointError, ChunkJournal
@@ -176,12 +177,12 @@ def _place(
 def _assemble_process_run(
     run: ProcessRun,
     chunks: Sequence[tuple[int, int]],
+    todo: Sequence[int],
     results: list[Any] | dict[int, Any],
     ledger: list[ErrorRecord] | None,
     cancel: CancellationToken | None,
     trace: TraceCollector | None = None,
     stage: str = "loop",
-    completed: frozenset[int] = frozenset(),
 ) -> None:
     """Fold one executed plan into caller state: the one assembly.
 
@@ -190,9 +191,10 @@ def _assemble_process_run(
     element's slot on and its records extend the ledger (its sidecars
     were absorbed when it was delivered).  Then the call raises, in
     priority order: the first failed chunk's error, cancellation, then
-    pool-infrastructure failure.  An error a pool worker's kernel let
-    escape is raised first, before any assembly, as the in-process
-    executor raises it.
+    pool-infrastructure failure, which includes a chunk of ``todo`` (the
+    call's live chunks) that never came back.  An error a pool worker's
+    kernel let escape is raised first, before any assembly, as the
+    in-process executor raises it.
     """
     if run.raised is not None:
         raise run.raised
@@ -217,7 +219,7 @@ def _assemble_process_run(
         raise RuntimeError(
             f"{stage}: worker process failed to start: {run.fatal[0]}"
         )
-    missing = run.missing(len(chunks), completed)
+    missing = [k for k in todo if k not in run.chunks]
     if missing:
         raise RuntimeError(
             f"{stage}: worker pool lost {len(missing)} chunk(s) "
@@ -229,28 +231,28 @@ def _run_in_process(
     kernel: Kernel,
     vals: Sequence[Any],
     bounds: Sequence[tuple[int, int]],
+    todo: Sequence[int],
     *,
     width: int,
     threads: bool,
     schedule: str,
-    skip: frozenset[int],
     journal: ChunkJournal | None,
     cancel: CancellationToken | None,
     observers: dict[str, Any],
 ) -> ProcessRun:
     """Execute a plan in this process: the serial and thread executor.
 
-    Runs :func:`~repro.runtime.backend.run_chunk` per descriptor — in
-    the calling thread, or on up to ``width`` claiming threads
-    (round-robin stripes under ``static``, a shared counter otherwise) —
-    and hands each chunk to
-    :func:`~repro.runtime.backend.deliver_chunk` as it completes.  The
-    chunks record straight into ``observers``.  A failed chunk, a fired
-    ``cancel`` or an escaping exception stops every thread from claiming
-    more.  Nothing is pickled.
+    Runs :func:`~repro.runtime.backend.run_chunk` per live chunk of
+    ``todo`` — in the calling thread, or on ``width`` claiming threads
+    (under ``static`` each its stripe,
+    :func:`~repro.runtime.backend.static_stripes`, the rule the process
+    pool hands its members; a shared counter otherwise) — and hands
+    each chunk to :func:`~repro.runtime.backend.deliver_chunk` as it
+    completes.  The chunks record straight into ``observers``.  A failed
+    chunk, a fired ``cancel`` or an escaping exception stops every
+    thread from claiming more.  Nothing is pickled.
     """
-    todo = [k for k in range(len(bounds)) if k not in skip]
-    width = max(1, min(width, len(todo))) if threads else 1
+    width = width if threads else 1
     metrics = observers.get("metrics")
     series = (
         StageSeries(metrics, kernel.label) if metrics is not None else None
@@ -295,10 +297,8 @@ def _run_in_process(
 
     if schedule == "static":
         claims = [
-            functools.partial(next, (
-                k for k in range(j, len(bounds), width) if k not in skip
-            ), None)
-            for j in range(width)
+            functools.partial(next, iter(stripe), None)
+            for stripe in static_stripes(todo, width)
         ]
     else:
         shared = iter(todo)
@@ -414,18 +414,17 @@ def _engine(
             )
         for lo, _hi, values in done.values():
             _place(results, lo, values)
-    skip = frozenset(done)
 
-    # ``chunks_planned`` counts the descriptors *this* run executes, the
-    # right-hand side of the conservation invariant
-    # chunks_completed - chunks_deduped = chunks_planned
+    # ``todo``, the descriptors *this* run executes, for every executor
+    # and the assembly; ``chunks_planned`` counts them, the right-hand
+    # side of chunks_completed - chunks_deduped = chunks_planned
     plan = _resolve_plan(n, chunk_size, schedule, workers, checkpoint)
-    live = len(plan) - len(skip)
+    todo = [k for k in range(len(plan)) if k not in done]
     if metrics is not None:
-        metrics.inc("chunks_planned", max(0, live), stage=label)
-    if live <= 0:
+        metrics.inc("chunks_planned", len(todo), stage=label)
+    if not todo:
         return results
-    width = min(workers, live)
+    width = min(workers, len(todo))
     kernel = Kernel(body, policy, reduce_op, label)
     observers = {
         kind: observer
@@ -472,22 +471,22 @@ def _engine(
                 if session is None:
                     session = stack.enter_context(pool_session(width))
                 run = run_process_chunks(
-                    payload, plan, session=session, workers=width,
+                    payload, plan, session=session, workers=width, todo=todo,
                     schedule=schedule, cancel=cancel, max_restarts=restarts,
-                    hedge=hedge, completed=skip, observers=observers,
+                    hedge=hedge, observers=observers,
                     label=label, checkpoint=checkpoint, out_values=shm_out,
                 )
         if run is None:
             run = _run_in_process(
-                kernel, vals, plan, width=width,
-                threads=backend != "serial", schedule=schedule, skip=skip,
+                kernel, vals, plan, todo, width=width,
+                threads=backend != "serial", schedule=schedule,
                 journal=checkpoint, cancel=cancel, observers=observers,
             )
         if recovery is not None:
             recovery.extend(run.recovery)
         _assemble_process_run(
-            run, plan, results, ledger, cancel,
-            trace=trace, stage=label, completed=skip,
+            run, plan, todo, results, ledger, cancel,
+            trace=trace, stage=label,
         )
     return results
 

@@ -534,13 +534,21 @@ class Pipeline:
 
     def _effective_elements(self) -> list[Element]:
         """Apply StageFusion pairs, which name the original stages: True
-        pairs ``a/b`` and ``b/c`` fuse adjacent items into ``a+b+c``."""
+        pairs ``a/b`` and ``b/c`` fuse adjacent items into ``a+b+c``.
+
+        A pair fuses only when neither stage's fault policy differs from
+        :data:`NO_POLICY`: the fused stage has no policy of its own, so
+        fusing a stage with retries or a skip would change what a fault
+        does.  A generated tuning file's default ``Retries 0 / ItemTimeout
+        0 / OnError fail_fast`` builds exactly that policy."""
         elements: list[Element] = []
         previous: Element | None = None
         for el in self.elements:
             if (
                 isinstance(previous, Item) and isinstance(el, Item)
                 and f"{previous.name}/{el.name}" in self._fusions
+                and (previous.fault_policy or NO_POLICY) == NO_POLICY
+                and (el.fault_policy or NO_POLICY) == NO_POLICY
             ):
                 elements[-1] = elements[-1].fused_with(el)
             else:

@@ -56,12 +56,6 @@ IDLE_EXIT_SECONDS = 0.5
 _THIS_FILE = os.path.basename(__file__)
 
 
-def _frame_label(frame) -> str:
-    """A stable, process-independent label for one frame."""
-    code = frame.f_code
-    return f"{os.path.basename(code.co_filename)}:{code.co_name}"
-
-
 def _fold(frame, max_depth: int = MAX_STACK_DEPTH) -> str:
     """Semicolon-joined stack, root first (the flamegraph.pl contract).
 

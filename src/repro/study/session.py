@@ -47,10 +47,6 @@ class SessionResult:
     def n_correct(self) -> int:
         return len(self.found)
 
-    @property
-    def n_reported(self) -> int:
-        return len(self.found) + len(self.false_positives)
-
 
 def _positive(rng: random.Random, mean: float, spread: float) -> float:
     """A noisy, strictly positive duration."""

@@ -100,7 +100,3 @@ class DataParallel(TadlNode):
 def stages_of(node: TadlNode) -> list[StageRef]:
     """All stage references, left to right."""
     return [n for n in node.walk() if isinstance(n, StageRef)]
-
-
-def replicable_stages(node: TadlNode) -> list[StageRef]:
-    return [s for s in stages_of(node) if s.replicable]

@@ -874,6 +874,10 @@ def _nap_pid(_x):
     return os.getpid()
 
 
+def _pid(_x):
+    return os.getpid()
+
+
 def _child_pids():
     return {p.pid for p in multiprocessing.active_children()}
 
@@ -1125,6 +1129,24 @@ class TestPoolLifetime:
         )
         assert set(out) <= set(pids)
         assert get_session(2) is session and sorted(session.pids) == pids
+
+    def test_static_members_run_their_own_stripes(self):
+        # the parent hands roster member j the stripe todo[j::2]: chunks
+        # 0 and 2 run on one member and chunks 1 and 3 on the other, on
+        # a fresh session and again on the same members once it is warm
+        pids = []
+        for _call in ("fresh", "warm"):
+            out = parallel_for(
+                range(8), _pid, workers=2, chunk_size=2, schedule="static",
+                backend="process",
+            )
+            by_chunk = [out[lo:lo + 2] for lo in range(0, 8, 2)]
+            assert all(a == b for a, b in by_chunk)
+            first, second = by_chunk[0][0], by_chunk[1][0]
+            assert first != second and os.getpid() not in (first, second)
+            assert by_chunk[2][0] == first and by_chunk[3][0] == second
+            pids.append((first, second))
+        assert pids[0] == pids[1]
 
     def test_masterworker_runs_share_their_pids(self):
         mw = MasterWorker(workers=2, backend="process")

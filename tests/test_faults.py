@@ -806,8 +806,6 @@ class TestBoundedBuffer:
         buf.put(2)
         buf.get()
         assert buf.transfers == 3
-        buf.put_front(0)
-        assert buf.transfers == 4
 
     def test_cancel_wakes_blocked_get_batch(self):
         buf = BoundedBuffer(capacity=2)

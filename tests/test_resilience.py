@@ -313,7 +313,10 @@ class TestHedge:
 # ---------------------------------------------------------------------------
 
 class TestCheckpointResume:
-    def test_process_resume_reexecutes_only_missing_chunks(self, tmp_path):
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_process_resume_reexecutes_only_missing_chunks(
+        self, tmp_path, schedule
+    ):
         # phase 1: a worker dies with no restart budget — the run fails,
         # but every chunk delivered before the crash is journaled
         body = functools.partial(
@@ -328,6 +331,7 @@ class TestCheckpointResume:
                     body,
                     workers=3,
                     chunk_size=2,
+                    schedule=schedule,
                     backend="process",
                     restarts=0,
                     checkpoint=j,
@@ -345,6 +349,7 @@ class TestCheckpointResume:
             body,
             workers=3,
             chunk_size=2,
+            schedule=schedule,
             backend="process",
             checkpoint=j2,
         )

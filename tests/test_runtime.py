@@ -63,29 +63,11 @@ class TestBoundedBuffer:
         t.join(timeout=2)
         assert got == [42]
 
-    def test_put_front(self):
-        b = BoundedBuffer(4)
-        b.put(1)
-        b.put_front(0)
-        assert b.get() == 0
-
     def test_high_water_mark(self):
         b = BoundedBuffer(8)
         for i in range(5):
             b.put(i)
         assert b.max_occupancy == 5
-
-    def test_put_front_counts_toward_high_water(self):
-        # put_front bypasses the capacity bound (sentinel redistribution),
-        # so the high-water mark must record the real occupancy — even
-        # past capacity — or replication sizing would under-read pressure
-        b = BoundedBuffer(2)
-        b.put(1)
-        b.put(2)
-        b.put_front(0)
-        assert len(b) == 3
-        assert b.max_occupancy == 3
-        assert b.get() == 0
 
     def test_get_batch_takes_a_share_of_the_queue(self):
         b = BoundedBuffer(8)
@@ -283,6 +265,45 @@ class TestPipeline:
         pipe.configure({"SequentialExecution@pipeline": sequential})
         assert pipe.run(range(20)) == [(x + 1) * 3 - 2 for x in range(20)]
         assert pipe.stats["stages"] == stages
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_a_fault_policy_blocks_fusion(self, sequential):
+        # the fused stage has no policy of its own: fusing ``compute``
+        # would turn its retries into a failed run
+        attempts = []
+
+        def flaky(x):
+            if x == 3:
+                attempts.append(x)
+                if len(attempts) <= 2:
+                    raise ValueError("flaky")
+            return x * 10 - 10
+
+        pipe = Pipeline(
+            Item(lambda x: x + 1, name="parse"), Item(flaky, name="compute")
+        )
+        pipe.configure({
+            "Retries@compute": 3, "OnError@compute": "skip",
+            "StageFusion@parse/compute": True,
+            "SequentialExecution@pipeline": sequential,
+        })
+        assert pipe.run([0, 1, 2, 3]) == [0, 10, 20, 30]
+        assert pipe.stats["retried"] == 2
+        assert pipe.stats["stages"] == ["parse", "compute"]
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_default_policies_still_fuse(self, sequential):
+        # a generated tuning file names every stage's policy keys at
+        # their defaults; that builds NO_POLICY, which fusion keeps
+        pipe = self.chain()
+        pipe.configure({
+            "Retries@compute": 0, "ItemTimeout@compute": 0,
+            "OnError@compute": "fail_fast", "Retries@parse": 0,
+            "StageFusion@parse/compute": True,
+            "SequentialExecution@pipeline": sequential,
+        })
+        assert pipe.run(range(20)) == [(x + 1) * 3 - 2 for x in range(20)]
+        assert pipe.stats["stages"] == ["parse+compute", "emit"]
 
     def test_a_group_in_the_chain_blocks_fusion(self):
         group = MasterWorker(

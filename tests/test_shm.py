@@ -574,9 +574,7 @@ class TestViewLifetime:
         def task(gen, arena):
             block, _reason = ShmInput.build(values, arena)
             call = pickle.dumps((("shm", block.spec()), None, [(0, 8)]))
-            return pickle.dumps(
-                (gen, "k", blob, call, "dynamic", 1, 0, (), None)
-            )
+            return pickle.dumps((gen, "k", blob, call, [0], None))
 
         task_q, result_q = queue.Queue(), queue.Queue()
         task_q.put(task(2, arenas[1]))
