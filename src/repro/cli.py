@@ -380,10 +380,11 @@ def _run_transformed(args: argparse.Namespace, injector: Any = None) -> int:
 
     Generates the parallel variant of every detected top-level pattern
     whose function has benchmark inputs and calls it on
-    ``args.backend``, under ``injector``'s chaos if given.  The observer
-    sessions the caller opened record the runs.  A variant that fails to
-    compile is skipped and one that raises is reported, both on stderr;
-    a raising run still counts.
+    ``args.backend`` (``serial`` runs a pipeline or master/worker region
+    through ``SequentialExecution``), under ``injector``'s chaos if
+    given.  The observer sessions the caller opened record the runs.  A
+    variant that fails to compile is skipped and one that raises is
+    reported, both on stderr; a raising run still counts.
     """
     import copy
 
@@ -398,10 +399,11 @@ def _run_transformed(args: argparse.Namespace, injector: Any = None) -> int:
     matches = suppress_nested(
         catalog.detect_in_program(prog, runner=bp.make_runner())
     )
+    sequential = args.backend == "serial"
     config = {
         "Backend@loop": args.backend,
-        "Backend@workers": args.backend,
-        "Backend@pipeline": args.backend,
+        "SequentialExecution@workers": sequential,
+        "SequentialExecution@pipeline": sequential,
     }
     if injector is not None:
         # keep the run alive under injected faults: retry once, then skip

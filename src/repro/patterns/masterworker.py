@@ -106,8 +106,9 @@ class MasterWorkerPattern(SourcePattern):
         tadl = elements[0] if len(elements) == 1 else Pipeline(tuple(elements))
 
         loc = f"{model.function.qualname}:{loop.sid}"
-        # the generated code reads only these two (transform/codegen.py)
-        tuning = knobs("workers", loc, "SequentialExecution", "Backend")
+        # the one knob the generated code reads (transform/codegen.py): the
+        # group runs on threads or, sequentially, in the calling thread
+        tuning = knobs("workers", loc, "SequentialExecution")
         return PatternMatch(
             pattern=self.name,
             function=model.function.qualname,

@@ -382,7 +382,7 @@ class PipelinePattern(SourcePattern):
             params.append(knob("StageFusion", f"{a}/{b}", loc))
         params += knobs("pipeline", loc, "SequentialExecution", "BufferCapacity")
         # supervision knobs: per-stage fault policy + the pipeline-wide
-        # stall watchdog, addressable like any performance parameter
+        # stall check, addressable like any performance parameter
         for name in partition.names:
             params += knobs(name, loc, "Retries", "ItemTimeout", "OnError")
         params += knobs("pipeline", loc, "StallTimeout", "Trace", "Metrics")

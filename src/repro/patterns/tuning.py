@@ -144,7 +144,8 @@ BOOL = (False, True)
 #: worker or replication limit), so its domain here is ``None``.  The
 #: runtime validates the same values against its own sets
 #: (``BACKENDS``, ``SCHEDULES``, ``TRANSPORTS``, ``ON_ERROR_MODES``), and
-#: a test pins each domain below to them.
+#: a test pins each domain below to them, less the runtime names a trial
+#: would only repeat.
 KNOBS: dict[str, tuple[type, Any, tuple | None]] = {
     # PLTP (paper section 2.2) and the DOALL loop's own knobs
     "NumWorkers": (IntParameter, 4, None),
@@ -160,14 +161,15 @@ KNOBS: dict[str, tuple[type, Any, tuple | None]] = {
     # also accepts ``adaptive``, an alias of guided; a trial on it would
     # re-measure guided, so it is left out
     "Schedule": (ChoiceParameter, "dynamic", ("static", "dynamic", "guided")),
-    # the execution substrate, in increasing setup-cost order: thread is
-    # safe anywhere; process is the only one that beats the GIL
-    "Backend": (ChoiceParameter, "thread", ("serial", "thread", "process")),
+    # the parallel substrate: thread is safe anywhere; process is the only
+    # one that beats the GIL.  The runtime's serial (the calling thread)
+    # is SequentialExecution's, so no trial repeats it here
+    "Backend": (ChoiceParameter, "thread", ("thread", "process")),
     # how data crosses the process boundary: pickle works for any data,
     # shm is zero-copy for flat numeric data (else a recorded downgrade)
     "Transport": (ChoiceParameter, "pickle", ("pickle", "shm")),
     # supervision: the per-element fault policy and the pipeline's stall
-    # watchdog (0 disables a timeout)
+    # check (0 disables a timeout)
     "Retries": (ChoiceParameter, 0, (0, 1, 2, 3)),
     "ItemTimeout": (ChoiceParameter, 0.0, (0.0, 0.1, 0.5, 1.0, 5.0, 30.0)),
     "OnError": (

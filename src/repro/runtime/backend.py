@@ -207,8 +207,12 @@ def downgrade(
     events: list[BackendEvent] | None = None,
     trace: TraceCollector | None = None,
     stage: str = "loop",
+    kind: str = "backend",
 ) -> str:
-    """Record a backend downgrade (event list + warning) and return it."""
+    """Record a ``kind`` downgrade (a ``backend``, process → thread, or
+    the data plane's ``transport``, shm → pickle) as an event, a
+    ``fallback`` trace instant and a warning; return ``actual``.  The run
+    proceeds on ``actual``: a tuner or a fault report sees why."""
     event = BackendEvent(requested, actual, reason)
     if events is not None:
         events.append(event)
@@ -218,41 +222,11 @@ def downgrade(
             requested=requested, actual=actual, reason=reason,
         )
     warnings.warn(
-        f"backend downgrade: {event.describe()}",
+        f"{kind} downgrade: {event.describe()}",
         BackendFallbackWarning,
         stacklevel=3,
     )
     return actual
-
-
-def downgrade_transport(
-    reason: str,
-    events: list[BackendEvent] | None = None,
-    trace: TraceCollector | None = None,
-    stage: str = "loop",
-) -> str:
-    """Record an shm → pickle transport downgrade; returns ``"pickle"``.
-
-    The data plane mirrors the backend's downgrade road: non-qualifying
-    input is never an error — the run proceeds on the pickle transport
-    with the decision recorded as a :class:`BackendEvent` (and a
-    ``fallback`` trace instant), so a tuner or a fault report can see
-    why the zero-copy road was not taken.
-    """
-    event = BackendEvent("shm", "pickle", reason)
-    if events is not None:
-        events.append(event)
-    if trace is not None:
-        trace.instant(
-            "fallback", stage, -1,
-            requested="shm", actual="pickle", reason=reason,
-        )
-    warnings.warn(
-        f"transport downgrade: {event.describe()}",
-        BackendFallbackWarning,
-        stacklevel=3,
-    )
-    return "pickle"
 
 
 def start_method() -> str:

@@ -5,10 +5,10 @@ stages" (paper, section 2.2).  The buffer is a small bounded blocking queue
 with explicit end-of-stream handling; its capacity is the
 ``BufferCapacity`` tuning parameter.
 
-Waits are supervisable: ``put``/``get`` accept an optional deadline and a
+Waits are supervisable: they accept an optional deadline and a
 :class:`~repro.runtime.faults.CancellationToken`, so a blocked stage can
-always be unwound — a precondition for the pipeline stall watchdog, which
-must turn a hung pipeline into a diagnosable exception, never a hang.
+always be unwound and a pipeline's caller runs its stall check between
+timed waits — a hung pipeline becomes a diagnosable exception.
 
 Pipeline stages hand off in batches: ``get_batch`` takes what is already
 queued (a ``share`` of it, so replicas reading one buffer split it) and
@@ -56,7 +56,7 @@ class BoundedBuffer:
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
         self.max_occupancy = 0  # high-water mark, for diagnostics
-        self.transfers = 0  # elements in + out; the watchdog's progress signal
+        self.transfers = 0  # elements in + out; the stall check's progress
 
     def _await(
         self,
@@ -127,7 +127,10 @@ class BoundedBuffer:
             return item
 
     def get_batch(
-        self, share: int = 1, cancel: CancellationToken | None = None
+        self,
+        share: int = 1,
+        cancel: CancellationToken | None = None,
+        timeout: float | None = None,
     ) -> list[Any]:
         """Wait until an item is queued, then take ``ceil(queued / share)``
         items in FIFO order; never wait for more.
@@ -136,7 +139,8 @@ class BoundedBuffer:
         each takes its fair part of a backlog instead of all of it."""
         with self._not_empty:
             self._await(
-                self._not_empty, lambda: bool(self._items), None, cancel, "get"
+                self._not_empty, lambda: bool(self._items), timeout, cancel,
+                "get",
             )
             k = -(-len(self._items) // share)
             batch = [self._items.popleft() for _ in range(k)]

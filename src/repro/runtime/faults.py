@@ -143,7 +143,7 @@ class FaultPolicy:
     seeded jitter, so fault handling is reproducible under test.
     ``item_timeout`` is a per-element deadline: an attempt whose wall
     time exceeds it is treated as a fault (its result is discarded) —
-    complete wedges are the pipeline stall watchdog's job.  ``on_error``
+    complete wedges are the pipeline stall check's job.  ``on_error``
     decides the exhausted-retries disposition: re-raise (``fail_fast``,
     the historical behaviour), drop and count the poison element
     (``skip``), or substitute ``fallback``.

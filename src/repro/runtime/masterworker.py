@@ -6,9 +6,9 @@ Two usages, matching the paper:
   joins the results (:meth:`MasterWorker.run`, :meth:`map`).  Generated
   master/worker regions run this way: one group per call of the
   generated function, named after its region, and one ``run`` per
-  iteration over its independent statements — on threads under both
-  ``Backend@workers=thread`` and ``process``, since the statements close
-  over loop-local state;
+  iteration over its independent statements — on threads, since the
+  statements close over loop-local state, or in the calling thread
+  under ``SequentialExecution@workers``;
 * as a pipeline element (Fig. 3d: ``Pipeline(mw, p4, p5)``) — for each
   stream element every member item is applied and the results merged.
 
@@ -16,10 +16,10 @@ Workers are supervised: once any sibling records an error — or a shared
 :class:`~repro.runtime.faults.CancellationToken` fires — the pool stops
 claiming new tasks instead of running the full remaining input.
 
-The pool substrate is selectable (``Backend@workers`` in a tuning file)
-and is the chunk engine's (:mod:`repro.runtime.parallel_for`), one task
-per chunk: ``serial`` runs tasks in the master thread, ``thread`` on
-claiming threads, and ``process`` ships each task thunk to a
+The pool substrate is selectable (the ``backend`` argument) and is the
+chunk engine's (:mod:`repro.runtime.parallel_for`), one task per chunk:
+``serial`` runs tasks in the master thread, ``thread`` on claiming
+threads, and ``process`` ships each task thunk to a
 ``multiprocessing`` pool — closures are shipped by value (see
 :mod:`repro.runtime.backend`), and a thunk that cannot cross the process
 boundary downgrades the whole run to threads with a recorded

@@ -67,7 +67,6 @@ from repro.runtime.backend import (
     build_process_payload,
     deliver_chunk,
     downgrade,
-    downgrade_transport,
     normalize_backend,
     pool_session,
     run_chunk,
@@ -445,7 +444,10 @@ def _engine(
                 session = stack.enter_context(pool_session(width))
                 shm_in, why = ShmInput.build(vals, session.arena)
                 if shm_in is None:
-                    downgrade_transport(why, events, trace=trace, stage=label)
+                    downgrade(
+                        "shm", "pickle", why, events,
+                        trace=trace, stage=label, kind="transport",
+                    )
                 else:
                     stack.callback(shm_in.dispose)
                     input_spec = ("shm", shm_in.spec())

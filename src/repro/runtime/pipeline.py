@@ -10,7 +10,7 @@ parameter honoured at run time:
 * ``StageFusion@<a>/<b>`` — execute two adjacent stages in one thread,
   saving thread and buffer overhead when a stage is cheap;
 * ``SequentialExecution@pipeline`` — run the whole pipeline in the calling
-  thread ("never leads to a slowdown" on short streams);
+  thread ("never leads to a slowdown" on short streams), else on threads;
 * ``BufferCapacity@pipeline`` — inter-stage buffer bound.
 
 Supervision knobs ride along as tuning parameters, re-tunable without
@@ -18,12 +18,13 @@ recompilation exactly like the performance knobs:
 
 * ``Retries@<stage>`` / ``ItemTimeout@<stage>`` / ``OnError@<stage>`` —
   the stage's :class:`~repro.runtime.faults.FaultPolicy`;
-* ``StallTimeout@pipeline`` — the no-progress watchdog deadline: if no
-  element crosses any buffer or finishes any stage for this long, the
-  run is cancelled and a :class:`PipelineStallError` names the stuck
-  stage and how many elements wait for each stage (in its input buffer
-  or taken in a batch and not yet started).  A hung pipeline becomes a
-  diagnosable exception, never a hang.
+* ``StallTimeout@pipeline`` — the no-progress deadline: if no element
+  crosses any buffer or finishes any stage for this long, the run is
+  cancelled and a :class:`PipelineStallError` names the stuck stage and
+  how many elements wait for each stage (in its input buffer or taken in
+  a batch and not yet started).  The caller checks it in its own timed
+  waits for output.  A hung pipeline becomes a diagnosable exception,
+  never a hang.
 
 Threads are bound to stages (the paper's design choice), elements flow
 between them through bounded buffers carrying ``(sequence, value)``
@@ -44,11 +45,11 @@ import threading
 import time
 from typing import Any, Iterable
 
-from repro.runtime.backend import BackendEvent, normalize_backend
 from repro.runtime.buffer import BoundedBuffer, EndOfStream
 from repro.runtime.faults import (
     NO_POLICY,
     ON_ERROR_MODES,
+    BufferTimeout,
     CancellationToken,
     CancelledError,
     ErrorRecord,
@@ -72,7 +73,7 @@ Element = Item | MasterWorker
 #: the implicit producer stage's name in diagnostics
 STREAM_GENERATOR = "<stream-generator>"
 
-#: fault-policy keys tolerated for sibling-pattern targets in shared files
+#: sibling-pattern targets whose keys a shared tuning file may hold
 _LOOP_TARGETS = ("loop", "workers")
 
 #: observer knob -> (the ``Pipeline`` attribute holding the run's
@@ -82,6 +83,9 @@ _OBSERVER_KNOBS = {
     "Metrics": ("metrics", MetricsRegistry, resolve_registry),
     "Profile": ("profile", SamplingProfiler, resolve_profiler),
 }
+
+#: the other knobs of the whole pipeline, applied at ``@pipeline`` only
+_PIPELINE_KNOBS = ("SequentialExecution", "BufferCapacity", "StallTimeout")
 
 
 class PipelineError(RuntimeError):
@@ -104,7 +108,7 @@ class PipelineError(RuntimeError):
 
 
 class PipelineStallError(PipelineError):
-    """The watchdog saw no progress for ``stall_timeout`` seconds.
+    """The stall check saw no progress for ``stall_timeout`` seconds.
 
     Names the stuck stage and — when the run was traced — each stage's
     recent span history and time since last progress, so the diagnosis
@@ -264,15 +268,19 @@ class _ListSink:
             self._ended = True
             self._cond.notify()
 
-    def wait(self, cancel: CancellationToken) -> None:
-        """Block until the end marker arrives or ``cancel`` fires."""
+    def wait(
+        self, cancel: CancellationToken, timeout: float | None = None
+    ) -> bool:
+        """Block until the end marker arrives or ``cancel`` fires; False
+        when ``timeout`` seconds pass first."""
         with self._cond:
             if self._ended:
-                return
+                return True
             cancel.register(self._cond)
             try:
-                while not self._ended and not cancel.cancelled:
-                    self._cond.wait()
+                return self._cond.wait_for(
+                    lambda: self._ended or cancel.cancelled, timeout
+                )
             finally:
                 cancel.unregister(self._cond)
 
@@ -361,7 +369,6 @@ class Pipeline:
         sequential: bool = False,
         stall_timeout: float | None = 30.0,
         name: str = "pipeline",
-        backend: str = "thread",
         trace: TraceCollector | bool | None = None,
         metrics: MetricsRegistry | bool | None = None,
         profile: SamplingProfiler | bool | None = None,
@@ -373,9 +380,6 @@ class Pipeline:
         self.sequential = sequential
         self.stall_timeout = stall_timeout
         self.name = name
-        self.backend = normalize_backend(backend)
-        #: backend decisions (downgrades) from the most recent run
-        self.backend_events: list[BackendEvent] = []
         self.input: Iterable[Any] | None = None
         self.output: list[Any] = []
         self._fusions: set[str] = set()
@@ -434,7 +438,9 @@ class Pipeline:
         """Apply a tuning configuration ({'StageReplication@B': 2, ...}).
 
         Unknown stage names raise; unknown parameter names raise — a typo in
-        a tuning file must not be silently ignored.
+        a tuning file must not be silently ignored.  A pipeline-wide knob
+        applies at ``@pipeline``, is skipped at a sibling pattern's
+        ``@loop``/``@workers``, and raises at any other target.
         """
         for key, value in config.items():
             if "@" not in key:
@@ -466,12 +472,6 @@ class Pipeline:
                     self._fusions.add(target)
                 else:
                     self._fusions.discard(target)
-            elif pname == "SequentialExecution":
-                self.sequential = bool(value)
-            elif pname == "BufferCapacity":
-                self.buffer_capacity = int(value)
-            elif pname == "StallTimeout":
-                self.stall_timeout = float(value) or None
             elif pname == "Retries":
                 policy = self._policy_for(target)
                 if policy is not None:
@@ -486,7 +486,7 @@ class Pipeline:
                     if value not in ON_ERROR_MODES:
                         raise ValueError(f"invalid OnError value {value!r}")
                     policy.on_error = str(value)
-            elif pname == "Backend" or pname in _OBSERVER_KNOBS:
+            elif pname in _PIPELINE_KNOBS or pname in _OBSERVER_KNOBS:
                 if target in _LOOP_TARGETS:
                     continue  # a sibling pattern's knob; tolerated
                 if target != "pipeline":
@@ -494,14 +494,20 @@ class Pipeline:
                         f"{pname} targets the whole pipeline "
                         f"('{pname}@pipeline'), got {key!r}"
                     )
-                if pname == "Backend":
-                    self.backend = normalize_backend(value)
+                if pname == "SequentialExecution":
+                    self.sequential = bool(value)
+                elif pname == "BufferCapacity":
+                    self.buffer_capacity = int(value)
+                elif pname == "StallTimeout":
+                    self.stall_timeout = float(value) or None
                 else:
                     self._requests[_OBSERVER_KNOBS[pname][0]] = bool(value)
-            elif pname in ("NumWorkers", "ChunkSize", "Schedule"):
+            elif pname in ("NumWorkers", "ChunkSize", "Schedule") or (
+                pname == "Backend" and target in _LOOP_TARGETS
+            ):
                 continue  # parameters of sibling patterns; tolerated in shared files
             else:
-                raise KeyError(f"unknown tuning parameter {pname!r}")
+                raise KeyError(f"unknown tuning parameter {key!r}")
 
     def inject(self, injector: Any) -> None:
         """Wrap every stage with a chaos injector (fault-injection runs)."""
@@ -573,7 +579,7 @@ class Pipeline:
         values = list(self.input)
 
         elements = self._effective_elements()
-        if self.backend == "serial" or self.sequential:
+        if self.sequential:
             self.output = list(self._run_sequential(iter(values), elements))
             return self.output
         self.output = list(self._stream_threaded(values, elements))
@@ -588,13 +594,19 @@ class Pipeline:
         pipeline characterization.  ``SequentialExecution`` degrades to a
         plain generator loop.  On both roads an input that raises fails
         the run with a ``<stream-generator>`` record.
+
+        The stall check runs while the caller waits for an output, never
+        while the consumer holds one.  A held iterator keeps the stages
+        parked on backpressure until it is resumed or dropped, as any
+        bounded producer does; closing or dropping it cancels the run as
+        "stream abandoned".
         """
         if input is not None:
             self.input = input
         if self.input is None:
             raise ValueError("pipeline has no input stream")
         elements = self._effective_elements()
-        if self.backend == "serial" or self.sequential:
+        if self.sequential:
             return self._run_sequential(iter(self.input), elements)
         return self._stream_threaded(iter(self.input), elements)
 
@@ -608,7 +620,6 @@ class Pipeline:
         each stage follow once per run from the elements that entered
         it and those the ledger settled there.
         """
-        self.backend_events = []
         trace, metrics, profiler = self._resolve_observers()
         ledger = _Ledger(elements, metrics)
         stages = [
@@ -705,7 +716,6 @@ class Pipeline:
         counters = ledger.counters
         self.stats = {
             "backend": executed,
-            "backend_events": [e.as_dict() for e in self.backend_events],
             "stages": [el.name for el in elements],
             "buffer_high_water": (
                 [b.max_occupancy for b in buffers] if buffers else []
@@ -762,22 +772,7 @@ class Pipeline:
         buffer, and the caller drains a final bounded buffer as outputs
         arrive.
         """
-        self.backend_events = []
         trace, metrics, profiler = self._resolve_observers()
-        if self.backend == "process":
-            # stage workers are threads on every backend: a requested
-            # process backend records its downgrade
-            event = BackendEvent(
-                "process", "thread", "pipeline stage workers run on threads"
-            )
-            self.backend_events.append(event)
-            if trace is not None:
-                trace.instant(
-                    "fallback", self.name, -1,
-                    requested=event.requested,
-                    actual=event.actual,
-                    reason=event.reason,
-                )
         eos = EndOfStream()
         n = len(elements)
         capacity = self.buffer_capacity
@@ -796,7 +791,6 @@ class Pipeline:
         generated = [len(values) if source is not None else 0]
         failed = [False]  # a fail_fast failure triggered the cancellation
         stall: list[tuple[str, list[int]] | None] = [None]
-        done = threading.Event()
         threads: list[threading.Thread] = []
 
         if source is None:
@@ -1021,59 +1015,46 @@ class Pipeline:
                     )
                 )
 
-        # the no-progress watchdog: if no element crosses any buffer or
-        # finishes any stage for stall_timeout seconds while work remains,
-        # cancel the run and diagnose the stuck stage
-        watchdog_thread: threading.Thread | None = None
-        if self.stall_timeout:
-            stall_timeout = float(self.stall_timeout)
-            poll = max(0.01, stall_timeout / 4.0)
+        # the no-progress check, run by the caller each time its wait for
+        # output times out: if no element crosses any buffer or finishes
+        # any stage for stall_timeout seconds while work remains, cancel
+        # the run and diagnose the stuck stage
+        stall_timeout = float(self.stall_timeout or 0.0)
+        poll = max(0.01, stall_timeout / 4.0) if stall_timeout else None
+        progress = [-1, time.monotonic()]  # last signal, and since when
 
-            def diagnose() -> tuple[str, list[int]]:
-                occupancy = [queued(k) for k in range(n)] + [len(buffers[n])]
-                busy = [
-                    el.name
-                    for el, slots in zip(elements, running)
-                    if any(seq is not None for seq in slots)
-                ]
-                if busy:
-                    return min(busy), occupancy
-                # no element mid-apply: the fullest input buffer feeds the
-                # stage that is not draining it
-                if any(occupancy):
-                    i = max(range(len(elements)), key=lambda k: occupancy[k])
-                    return elements[i].name, occupancy
-                return STREAM_GENERATOR, occupancy
+        def diagnose() -> tuple[str, list[int]]:
+            occupancy = [queued(k) for k in range(n)] + [len(buffers[n])]
+            busy = [
+                el.name
+                for el, slots in zip(elements, running)
+                if any(seq is not None for seq in slots)
+            ]
+            if busy:
+                return min(busy), occupancy
+            # no element mid-apply: the fullest input buffer feeds the
+            # stage that is not draining it
+            if any(occupancy):
+                i = max(range(len(elements)), key=lambda k: occupancy[k])
+                return elements[i].name, occupancy
+            return STREAM_GENERATOR, occupancy
 
-            def watchdog() -> None:
-                last = -1
-                last_change = time.monotonic()
-                while not done.wait(poll):
-                    # a stage working through a batch crosses no buffer
-                    # until it forwards, so the elements each stage has
-                    # finished count as progress as well; first-attempt
-                    # deliveries are counted per forward, which the
-                    # switch-interval flush makes at least once per slow
-                    # element
-                    current = sum(b.transfers for b in buffers) + sum(
-                        c.delivered + c.skipped + c.failed
-                        for c in ledger.counters.values()
-                    )
-                    now = time.monotonic()
-                    if current != last:
-                        last, last_change = current, now
-                        continue
-                    if now - last_change >= stall_timeout:
-                        stage, occupancy = diagnose()
-                        stall[0] = (stage, occupancy)
-                        token.cancel(
-                            f"pipeline stalled at stage {stage!r}"
-                        )
-                        return
-
-            watchdog_thread = threading.Thread(
-                target=watchdog, name=f"{self.name}-watchdog", daemon=True
+        def check() -> None:
+            # a stage working through a batch crosses no buffer until it
+            # forwards, so the elements each stage has finished count as
+            # progress as well; first-attempt deliveries are counted per
+            # forward, which the switch-interval flush makes at least once
+            # per slow element
+            current = sum(b.transfers for b in buffers) + sum(
+                c.delivered + c.skipped + c.failed
+                for c in ledger.counters.values()
             )
+            now = time.monotonic()
+            if current != progress[0]:
+                progress[:] = current, now
+            elif now - progress[1] >= stall_timeout:
+                stall[0] = diagnose()
+                token.cancel(f"pipeline stalled at stage {stall[0][0]!r}")
 
         # nested master/worker groups stop claiming tasks on cancel; each
         # gets its own token back when the run ends
@@ -1084,14 +1065,13 @@ class Pipeline:
             group.cancel = token
         for t in threads:
             t.start()
-        if watchdog_thread is not None:
-            watchdog_thread.start()
 
         delivered = 0
         loop_ended = False
         try:
             if sink is not None:
-                sink.wait(token)
+                while not sink.wait(token, poll):
+                    check()
                 delivered = len(sink.items)
                 for _seq, value in sink.items:
                     yield value
@@ -1103,7 +1083,10 @@ class Pipeline:
                 final = buffers[n]
                 while True:
                     try:
-                        batch = final.get_batch(cancel=token)
+                        batch = final.get_batch(cancel=token, timeout=poll)
+                    except BufferTimeout:
+                        check()
+                        continue
                     except CancelledError:
                         break
                     for item in batch:
@@ -1113,9 +1096,10 @@ class Pipeline:
                         yield item[1]
                     if batch[-1] is eos:
                         break
+                    # a consumer holding outputs is no stall: restart the clock
+                    progress[1] = time.monotonic()
             loop_ended = True
         finally:
-            done.set()
             if not loop_ended and not token.cancelled:
                 # the consumer abandoned the stream: cancel so every
                 # blocked stage unwinds before we join
@@ -1125,8 +1109,6 @@ class Pipeline:
             join_timeout = 0.25 if token.cancelled else None
             for t in threads:
                 t.join(join_timeout)
-            if watchdog_thread is not None:
-                watchdog_thread.join(1.0)
             leaked = [t.name for t in threads if t.is_alive()]
             for group, previous in groups.items():
                 group.cancel = previous
@@ -1147,7 +1129,7 @@ class Pipeline:
                     raise PipelineStallError(
                         stage,
                         occupancy,
-                        float(self.stall_timeout or 0.0),
+                        stall_timeout,
                         records=ledger.records,
                         stats=self.stats,
                         history=trace.last(5) if trace is not None else None,

@@ -488,16 +488,12 @@ def generate_masterworker_source(func: IRFunction, match: PatternMatch) -> str:
     ind = "    "
     lines: list[str] = [f"def {parallel_name(func)}({_signature(func)}):"]
     lines.append(f"{ind}from repro.runtime import MasterWorker")
+    # the group runs on threads, never on processes: it closes over
+    # loop-local state, and a bare call's side effect would be lost on a
+    # process copy; SequentialExecution runs it in the calling thread
     lines.append(
         f"{ind}__seq = bool((__tuning__ or {{}}).get("
         f"'SequentialExecution@workers', False))"
-    )
-    # Backend@workers='serial' means run in the master thread; thread and
-    # process both run the group on threads (it closes over loop-local
-    # state, and a bare call's side effect would be lost on a process copy)
-    lines.append(
-        f"{ind}__seq = __seq or (__tuning__ or {{}}).get("
-        f"'Backend@workers', 'thread') == 'serial'"
     )
     lines.append(
         f"{ind}__wrap = __chaos__.wrap if __chaos__ else "

@@ -48,15 +48,16 @@ def run_traced(
     Builds a pipeline of :class:`SleepStage` items (each element costs
     what the model says, times ``scale``), applies ``config``, runs
     ``elements`` items with span tracing on, and returns ``(wall seconds,
-    trace summary)``.  ``backend="serial"`` runs the sequential path —
-    the calibration baseline.
+    trace summary)``.  ``backend="serial"`` runs the pipeline in the
+    calling thread (``SequentialExecution``) — the calibration baseline;
+    any other backend runs it on its stage threads.
     """
     items = [
         Item(SleepStage(s, scale), name=s.name, replicable=s.replicable)
         for s in workload.stages
     ]
     pipe = Pipeline(
-        *items, stall_timeout=None, backend=backend, trace=True
+        *items, stall_timeout=None, sequential=backend == "serial", trace=True
     )
     if config:
         pipe.configure(dict(config))

@@ -1290,7 +1290,10 @@ class TestGeneratedCodeRoundTrip:
         _, location, params = read_tuning_file(path)[0]
         by_key = {p.key: p for p in params}
         assert by_key["Backend@loop"].value == "thread"
-        assert tuple(by_key["Backend@loop"].domain()) == BACKENDS
+        # the calling thread is SequentialExecution's value, not a trial
+        assert tuple(by_key["Backend@loop"].domain()) == tuple(
+            b for b in BACKENDS if b != "serial"
+        )
 
         # re-tune without recompilation: flip the backend, validated
         apply_config(params, {"Backend@loop": "process"})
@@ -1382,30 +1385,18 @@ class TestReporting:
         pipe = Pipeline(Item(lambda x: x + 1, name="inc"))
         pipe.run([1, 2, 3])
         assert pipe.stats["backend"] == "thread"
-        assert pipe.stats["backend_events"] == []
 
     def test_pipeline_serial_backend(self):
-        pipe = Pipeline(Item(lambda x: x + 1, name="inc"), backend="serial")
+        pipe = Pipeline(Item(lambda x: x + 1, name="inc"), sequential=True)
         assert pipe.run([1, 2, 3]) == [2, 3, 4]
         assert pipe.stats["backend"] == "serial"
 
-    def test_pipeline_process_request_recorded_as_event(self):
-        # stage workers are thread-bound this release; asking for the
-        # process backend must be visible in stats and the report
-        pipe = Pipeline(Item(lambda x: x * 2, name="dbl"), backend="process")
-        assert pipe.run([1, 2, 3]) == [2, 4, 6]
-        events = pipe.stats["backend_events"]
-        assert events and events[0]["requested"] == "process"
-        assert events[0]["actual"] == "thread"
-        assert "downgrade" in fault_report(pipe.stats)
-
     def test_pipeline_configure_backend_key(self):
         pipe = Pipeline(Item(lambda x: x, name="id"))
-        pipe.configure({"Backend@pipeline": "serial"})
-        assert pipe.backend == "serial"
+        # a pipeline has no Backend: SequentialExecution is its switch
+        with pytest.raises(KeyError):
+            pipe.configure({"Backend@pipeline": "serial"})
         # sibling-pattern targets in a shared tuning file are tolerated
         pipe.configure({"Backend@loop": "process", "Backend@workers": "serial"})
         with pytest.raises(KeyError):
             pipe.configure({"Backend@id": "serial"})
-        with pytest.raises(TuningError):
-            pipe.configure({"Backend@pipeline": "gpu"})

@@ -112,3 +112,32 @@ class TestStudyAndQuality:
         assert main(["programs"]) == 0
         out = capsys.readouterr().out
         assert "raytracer" in out and "video" in out
+
+
+class TestTrace:
+    @pytest.mark.parametrize(
+        "backend, staged", [("serial", False), ("thread", True)]
+    )
+    def test_serial_backend_runs_the_pipeline_in_the_calling_thread(
+        self, backend, staged, tmp_path, capsys
+    ):
+        # --backend serial reaches the generated process_chain pipeline
+        # as SequentialExecution@pipeline: no stage executes on one of
+        # its process_chain-* stage threads
+        path = tmp_path / "trace.json"
+        assert main([
+            "trace", "--benchmark", "audiochain", "--prefer", "pipeline",
+            "--backend", backend, "--export-json", str(path),
+        ]) == 0
+        events = json.loads(path.read_text())["traceEvents"]
+        threads = {
+            e["tid"]: e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        on_stage_threads = [
+            e for e in events
+            if e["ph"] == "X" and e["cat"] == "execute"
+            and threads[e["tid"]].startswith("process_chain-")
+        ]
+        assert bool(on_stage_threads) == staged

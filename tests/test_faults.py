@@ -626,9 +626,7 @@ class TestPipelineStageLoop:
         )
         assert got == want
 
-    def test_run_starts_only_the_stage_threads_and_the_watchdog(
-        self, monkeypatch
-    ):
+    def test_run_starts_only_the_stage_threads(self, monkeypatch):
         started = []
         start = threading.Thread.start
 
@@ -646,14 +644,14 @@ class TestPipelineStageLoop:
         assert pipe.run(range(50)) == [(x + 1) * 2 - 1 for x in range(50)]
         assert sorted(started) == [
             "pipeline-compute-0", "pipeline-compute-1", "pipeline-emit-0",
-            "pipeline-parse-0", "pipeline-watchdog",
+            "pipeline-parse-0",
         ]
         # a lazy input keeps its generator thread
         started.clear()
         assert list(pipe.stream(iter(range(5)))) == [
             (x + 1) * 2 - 1 for x in range(5)
         ]
-        assert "pipeline-gen" in started and len(started) == 6
+        assert "pipeline-gen" in started and len(started) == 5
 
     def test_replicas_share_the_source_and_sink_under_a_short_switch(self):
         # four replicas each of the first and the last stage on two
@@ -943,6 +941,87 @@ class TestStallWatchdog:
         pipe.configure({"StallTimeout@pipeline": 0.0})
         assert pipe.stall_timeout is None
         assert pipe.run(range(3)) == [0, 1, 2]
+
+    def test_stream_consumer_holding_an_output_is_not_a_stall(self):
+        # the consumer pauses for three stall timeouts after its third
+        # output while every buffer sits full: the pause is the
+        # consumer's, so no stage is reported
+        stall_timeout = 0.2
+        pipe = Pipeline(
+            Item(lambda x: x + 1, name="inc"),
+            Item(lambda x: x * 2, name="dbl"),
+            buffer_capacity=2,
+            stall_timeout=stall_timeout,
+        )
+        out = []
+        for v in pipe.stream(iter(range(20))):
+            out.append(v)
+            if len(out) == 3:
+                time.sleep(3 * stall_timeout)
+        assert out == [(x + 1) * 2 for x in range(20)]
+        assert pipe.stats["stall"] is None
+
+    def test_stage_wedging_after_a_consumer_pause_is_reported(self):
+        # after the consumer's pause, stage B wedges at element k: the
+        # stall names B once the consumer has every output before it
+        # (one element per batch, so each is forwarded before the next)
+        wedge = threading.Event()  # set only to release the leaked thread
+        stall_timeout = 0.2
+        k = 10
+
+        def b(x):
+            if x == k:
+                wedge.wait(60)
+            return x
+
+        pipe = Pipeline(
+            Item(lambda x: x, name="A"), Item(b, name="B"),
+            buffer_capacity=1,
+            stall_timeout=stall_timeout,
+        )
+        out = []
+        try:
+            with pytest.raises(PipelineStallError, match="'B'") as ei:
+                for v in pipe.stream(iter(range(20))):
+                    out.append(v)
+                    if len(out) == 3:
+                        time.sleep(3 * stall_timeout)
+            assert ei.value.stage == "B"
+            assert out == list(range(k))
+        finally:
+            wedge.set()
+
+    @pytest.mark.parametrize("wedged", ["W", "<stream-generator>"])
+    def test_wedge_under_stream_raises_stall_naming_it(self, wedged):
+        # the caller waits for output while a stage, or the input
+        # iterator feeding the generator thread, is wedged
+        wedge = threading.Event()  # set only to release the leaked thread
+        stall_timeout = 0.4
+
+        def source():
+            for i in range(40):
+                if i == 2 and wedged == "<stream-generator>":
+                    wedge.wait(60)
+                yield i
+
+        def w(x):
+            if wedged == "W":
+                wedge.wait(60)
+            return x
+
+        pipe = Pipeline(
+            Item(lambda x: x + 1, name="A"), Item(w, name="W"),
+            stall_timeout=stall_timeout,
+        )
+        started = time.monotonic()
+        try:
+            with pytest.raises(PipelineStallError) as ei:
+                list(pipe.stream(source()))
+            assert time.monotonic() - started < stall_timeout + 1.0
+            assert ei.value.stage == wedged
+            assert pipe.stats["stall"]["stage"] == wedged
+        finally:
+            wedge.set()
 
 
 # ---------------------------------------------------------------------------

@@ -387,15 +387,13 @@ class TestMasterWorker:
         match = MasterWorkerPattern().match(m, first_loop(m))
         assert match is not None
         assert match.extras["group"] == ["s1.b0", "s1.b1"]
-        # only the knobs the generated code reads (transform/codegen.py)
+        # only the knob the generated code reads (transform/codegen.py)
         assert [
             (p.key, type(p).__name__, p.default, p.domain())
             for p in match.tuning
         ] == [
             ("SequentialExecution@workers", "BoolParameter", False,
              [False, True]),
-            ("Backend@workers", "ChoiceParameter", "thread",
-             ["serial", "thread", "process"]),
         ]
 
     def test_min_share_guard(self):
@@ -469,7 +467,10 @@ class TestKnobCatalog:
         from repro.runtime import BACKENDS, SCHEDULES, TRANSPORTS
         from repro.runtime.faults import ON_ERROR_MODES
 
-        assert KNOBS["Backend"][2] == BACKENDS
+        # serial is the calling thread, SequentialExecution's value
+        assert KNOBS["Backend"][2] == tuple(
+            b for b in BACKENDS if b != "serial"
+        )
         # adaptive is an alias of guided: no trial re-measures it
         assert KNOBS["Schedule"][2] == tuple(
             s for s in SCHEDULES if s != "adaptive"

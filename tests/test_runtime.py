@@ -345,6 +345,37 @@ class TestPipeline:
         pipe = Pipeline(*self.stages())
         pipe.configure({"NumWorkers@loop": 4})  # DOALL key in a shared file
 
+    @pytest.mark.parametrize(
+        "target", ["pipeline", "loop", "workers", "nosuchstage"]
+    )
+    @pytest.mark.parametrize(
+        "key, value, applied",
+        [
+            ("SequentialExecution", True, (True, 8, 30.0)),
+            ("BufferCapacity", 64, (False, 64, 30.0)),
+            ("StallTimeout", 0.0, (False, 8, None)),
+        ],
+        ids=["SequentialExecution", "BufferCapacity", "StallTimeout"],
+    )
+    def test_pipeline_wide_knob_honours_its_target(
+        self, key, value, applied, target
+    ):
+        # applied at @pipeline, a sibling pattern's key at @loop/@workers,
+        # a typo anywhere else
+        pipe = Pipeline(*self.stages(), buffer_capacity=8, stall_timeout=30.0)
+        config = {f"{key}@{target}": value}
+        if target == "nosuchstage":
+            with pytest.raises(KeyError):
+                pipe.configure(config)
+        else:
+            pipe.configure(config)
+        want = applied if target == "pipeline" else (False, 8, 30.0)
+        assert (
+            pipe.sequential, pipe.buffer_capacity, pipe.stall_timeout
+        ) == want
+        assert pipe.run(range(4)) == [(x + 1) * 2 for x in range(4)]
+        assert pipe.stats["backend"] == ("serial" if want[0] else "thread")
+
     def test_error_propagates_with_stage_name(self):
         def boom(x):
             if x == 3:

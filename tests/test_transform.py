@@ -266,6 +266,14 @@ class TestMasterWorkerCodegen:
                  __tuning__={"SequentialExecution@workers": True})
         assert got == self._reference([1, 2], fa, fb, combine)
 
+    def test_reads_only_its_sequential_switch(self):
+        # the group runs on threads or, sequentially, in the calling
+        # thread: the generated code reads no Backend
+        ir, match = self._mw_match()
+        source = generate_parallel_source(ir, match)
+        assert "'SequentialExecution@workers'" in source
+        assert "Backend" not in source
+
 
 class TestMasterWorkerRegionRuntime:
     """Generated master/worker regions run on ``MasterWorker``: one
